@@ -16,12 +16,9 @@ from .signatures import (
     render,
     to_tagged,
     expand,
-    is_rins,
     rins_rounds,
     layers_per_block,
     leaf_label,
-    plan_to_json,
-    plan_from_json,
 )
 from .ledger import (
     InfeasiblePlanError,
@@ -32,14 +29,11 @@ from .ledger import (
     matched_steps,
     expected_stochastic_cost,
     enumerate_sweep,
-    write_sweep_manifest,
-    read_sweep_manifest,
 )
 from .model import (
     RecursionPolicy,
     RecursiveModel,
     sample_rounds,
-    kv_cache_bytes,
     adapter_fraction,
     segments_to_mask,
 )
@@ -112,12 +106,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Signature", "SignatureParseError", "ExecutionPlan", "parse", "parse_tagged",
-    "render", "to_tagged", "expand", "is_rins", "rins_rounds", "layers_per_block",
-    "leaf_label", "plan_to_json", "plan_from_json",
+    "render", "to_tagged", "expand", "rins_rounds", "layers_per_block",
+    "leaf_label",
     "InfeasiblePlanError", "ModelDims", "param_count", "adapter_param_count",
     "step_cost", "matched_steps", "expected_stochastic_cost", "enumerate_sweep",
-    "write_sweep_manifest", "read_sweep_manifest",
-    "RecursionPolicy", "RecursiveModel", "sample_rounds", "kv_cache_bytes",
+    "RecursionPolicy", "RecursiveModel", "sample_rounds",
     "adapter_fraction", "segments_to_mask",
     "TrainConfig", "AdamState", "NonFiniteGradientError", "lr_at",
     "init_adam_state", "adam_step", "global_grad_norm",

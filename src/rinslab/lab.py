@@ -828,14 +828,14 @@ def cmd_eval(
         )
     items = read_task_jsonl(tasks_path)
     if rounds_list is None:
-        rounds_list = [None]  # model default
+        rounds_list = [model.resolve_rounds(None)]  # model default
     rows = []
     for r in rounds_list:
         result = eval_mcq(model, ckpt.params, tok, items, rounds=r, score_full=score_full)
         rows.append(
             {
                 "task": tasks_path.stem,
-                "rounds": r if r is not None else (ckpt.policy.inference_rounds or ckpt.policy.r_max),
+                "rounds": r,
                 "accuracy": result.accuracy,
                 "n_items": result.n_items,
             }

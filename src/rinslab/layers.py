@@ -17,8 +17,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "linear_fwd",
-    "linear_bwd",
     "gelu_fwd",
     "gelu_bwd",
     "layernorm_fwd",
@@ -36,20 +34,6 @@ __all__ = [
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
-
-
-def linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
-
-
-def linear_bwd(dy, cache):
-    x, w = cache
-    dx = dy @ w.T
-    x2 = x.reshape(-1, x.shape[-1])
-    dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    return dx, dw, db
 
 
 def gelu_fwd(x):

@@ -13,15 +13,13 @@ are executed: recursion buys compute, not parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from typing import Iterable, Literal, Optional
+from typing import Literal
 
 from .signatures import (
     ExecutionPlan,
     Signature,
-    expand,
     layers_per_block,
     parse,
     to_tagged,
@@ -39,8 +37,6 @@ __all__ = [
     "enumerate_sweep",
     "SWEEP_SIGNATURES",
     "SWEEP_DEGREES",
-    "write_sweep_manifest",
-    "read_sweep_manifest",
 ]
 
 CostMode = Literal["layer-pass", "exact-flops"]
@@ -207,46 +203,3 @@ def enumerate_sweep(total_layers: int) -> list[tuple[Signature, bool]]:
     for sig in SWEEP_SIGNATURES:
         out.append((sig, layers_per_block(sig, total_layers) >= 1))
     return out
-
-
-def write_sweep_manifest(
-    path,
-    dims: ModelDims,
-    baseline_sig: Signature,
-    baseline_steps: int,
-    mode: CostMode = "layer-pass",
-) -> list[dict]:
-    """Emit one JSONL row per sweep candidate; infeasible rows carry nulls."""
-    baseline_plan = expand(baseline_sig)
-    rows = []
-    for sig, feasible in enumerate_sweep(dims.total_layers):
-        row: dict = {
-            "signature": sig.symbols,
-            "degree": sig.degree,
-            "feasible": feasible,
-            "layers_per_block": layers_per_block(sig, dims.total_layers),
-        }
-        if feasible:
-            plan = expand(sig)
-            row["params"] = param_count(plan, dims)
-            row["steps_matched"] = matched_steps(
-                baseline_plan, plan, dims, dims, baseline_steps, mode
-            )
-        else:
-            row["params"] = None
-            row["steps_matched"] = None
-        rows.append(row)
-    with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row) + "\n")
-    return rows
-
-
-def read_sweep_manifest(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows

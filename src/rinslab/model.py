@@ -1,28 +1,32 @@
 """Recursive transformer executor with hand-composed backward pass.
 
 The executor runs an ExecutionPlan over a bank of leaf blocks that share
-parameters whenever the plan repeats a leaf id. For A^r B shapes it exposes a
-rounds knob: r calls of block A, then one call of block B, with three
-optional mechanisms layered on top:
+parameters whenever the plan repeats a leaf id. Depth is set by the plan's
+skip mask: positions marked skip_eligible may be dropped, every other
+position always runs, and r_max = 1 + the number of eligible positions.
+rounds = k runs the always-run positions plus the first k - 1 eligible ones,
+so for A^r B (first A and B always run, the middle As eligible) k rounds
+execute k calls of A and then B. Plans without eligible positions have
+r_max = 1 and always run in full. Three optional mechanisms layer on top:
 
-  * stochastic depth over rounds: rounds = 1 + Binomial(r_max-1, 1-p_skip),
-    sampled once per step (the first and last calls always execute);
+  * stochastic depth: rounds = 1 + Binomial(r_max - 1, 1 - p_skip), sampled
+    once per step;
   * round adapters: bias-free d x d maps, identity at init, one per possible
-    round count; when k rounds ran, adapter k is applied at the A-to-B
-    boundary;
-  * KV sharing: recursive calls of A reuse the keys and values the first call
-    produced at the same layer, recomputing only queries, so the cache
-    footprint does not grow with rounds.
+    round count; when k rounds run, adapter k maps the hidden state that
+    enters the plan's last call;
+  * KV sharing: a later call of a leaf reuses the keys and values its first
+    executed call produced at the same layer, recomputing only queries, so
+    the cache footprint does not grow with rounds.
 
-Gradients for a shared block are the sum of the per-call gradients; the
-backward pass realizes this by plain accumulation into one dict keyed by
-parameter name.
+Adapters and KV sharing need an A^r B signature. Gradients for a shared
+block are the sum of the per-call gradients; the backward pass realizes this
+by plain accumulation into one dict keyed by parameter name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -44,10 +48,8 @@ from .signatures import ExecutionPlan, leaf_label, rins_rounds, to_tagged
 
 __all__ = [
     "RecursionPolicy",
-    "KVCacheSet",
     "RecursiveModel",
     "sample_rounds",
-    "kv_cache_bytes",
     "adapter_fraction",
     "segments_to_mask",
 ]
@@ -57,8 +59,9 @@ __all__ = [
 class RecursionPolicy:
     """Recursion behavior knobs.
 
-    r_max must equal the plan's recursion count for A^r B shapes and 1 for
-    every other plan. inference_rounds, when set, fixes the round count used
+    r_max must equal 1 + the number of skip-eligible positions in the plan
+    (the recursion count r for A^r B, 1 for plans without eligible
+    positions). inference_rounds, when set, fixes the round count used
     by forward() when no explicit rounds argument is given.
     """
 
@@ -103,65 +106,13 @@ class RecursionPolicy:
 def sample_rounds(policy: RecursionPolicy, rng: np.random.Generator, size=None):
     """Draw the number of rounds to execute this step.
 
-    1 + Binomial(r_max - 1, 1 - p_skip): each of the r_max - 1 optional calls
-    runs independently with probability 1 - p_skip; the mandatory first call
-    makes the minimum 1. p_skip = 0 always yields r_max; r_max = 1 always
-    yields 1 whatever p_skip says.
+    1 + Binomial(r_max - 1, 1 - p_skip): each of the r_max - 1 skip-eligible
+    positions runs independently with probability 1 - p_skip, and the
+    executor keeps that many of them, first ones first. p_skip = 0 always
+    yields r_max; r_max = 1 always yields 1 whatever p_skip says.
     """
     draw = rng.binomial(policy.r_max - 1, 1.0 - policy.p_skip, size=size)
     return 1 + draw
-
-
-def kv_cache_bytes(
-    dims: ModelDims,
-    policy: RecursionPolicy,
-    rounds: Optional[int] = None,
-    itemsize: int = 4,
-) -> int:
-    """Bytes of K/V state block A holds during generation-style decoding.
-
-    With kv_share every recursive call reads the first call's tensors, so the
-    figure is layers_of_A * 2 * seq_len * d_model * itemsize regardless of
-    rounds. Without sharing each round keeps its own pair and the figure is
-    exactly linear in rounds. Block A owns total_layers // 2 layers in the
-    two-block shapes this accounting applies to.
-    """
-    layers_a = dims.total_layers // 2
-    per_round = layers_a * 2 * dims.seq_len * dims.d_model * itemsize
-    if policy.kv_share:
-        return per_round
-    if rounds is None:
-        rounds = policy.inference_rounds or policy.r_max
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return rounds * per_round
-
-
-@dataclass
-class KVCacheSet:
-    """Per-layer (k, v) tensors captured from the first call of a leaf block.
-
-    Keys are (leaf_id, layer_index); tensors are (B, T, d_model). Byte
-    accounting is reported per sequence so it lines up with kv_cache_bytes.
-    """
-
-    entries: dict = field(default_factory=dict)
-
-    def put(self, leaf: int, layer: int, k: np.ndarray, v: np.ndarray):
-        self.entries[(leaf, layer)] = (k, v)
-
-    def get(self, leaf: int, layer: int):
-        return self.entries[(leaf, layer)]
-
-    def has(self, leaf: int, layer: int) -> bool:
-        return (leaf, layer) in self.entries
-
-    def bytes_per_sequence(self) -> int:
-        total = 0
-        for k, v in self.entries.values():
-            batch = k.shape[0]
-            total += k.nbytes // batch + v.nbytes // batch
-        return total
 
 
 def segments_to_mask(segments: np.ndarray) -> np.ndarray:
@@ -209,25 +160,18 @@ class RecursiveModel:
                 f"signature {to_tagged(plan.source)} is infeasible at "
                 f"{dims.total_layers} layers (layers_per_block=0)"
             )
-        r = rins_rounds(plan.source)
-        self._rounds_capable = r is not None
-        if r is not None:
-            if policy.r_max != r:
-                raise ValueError(
-                    f"policy r_max {policy.r_max} does not match signature "
-                    f"{to_tagged(plan.source)} (r={r})"
-                )
-        else:
-            if policy.r_max != 1:
-                raise ValueError(
-                    f"r_max {policy.r_max} requires an A^r B signature, got "
-                    f"{to_tagged(plan.source)}"
-                )
-            if policy.p_skip != 0.0 or policy.kv_share or policy.adapters:
-                raise ValueError(
-                    "stochastic skipping, KV sharing, and adapters require an "
-                    f"A^r B signature, got {to_tagged(plan.source)}"
-                )
+        self._eligible = [i for i, e in enumerate(plan.skip_eligible) if e]
+        if policy.r_max != 1 + len(self._eligible):
+            raise ValueError(
+                f"policy r_max {policy.r_max} does not match plan "
+                f"{to_tagged(plan.source)}: {len(self._eligible)} skip-eligible "
+                f"positions give r_max {1 + len(self._eligible)}"
+            )
+        if (policy.kv_share or policy.adapters) and rins_rounds(plan.source) is None:
+            raise ValueError(
+                "KV sharing and adapters require an A^r B signature, got "
+                f"{to_tagged(plan.source)}"
+            )
         self._labels = [leaf_label(i) for i in range(plan.unique_leaf_count)]
 
     # ---------------------------------------------------------------- params
@@ -294,13 +238,7 @@ class RecursiveModel:
 
     # ------------------------------------------------------------- execution
 
-    def resolve_rounds(self, rounds: Optional[int]) -> Optional[int]:
-        if not self._rounds_capable:
-            if rounds is not None:
-                raise ValueError(
-                    f"signature {to_tagged(self.plan.source)} has no rounds knob"
-                )
-            return None
+    def resolve_rounds(self, rounds: Optional[int]) -> int:
         if rounds is None:
             rounds = self.policy.inference_rounds or self.policy.r_max
         if not (1 <= rounds <= self.policy.r_max):
@@ -310,17 +248,13 @@ class RecursiveModel:
         return rounds
 
     def leaf_exec(self, rounds: Optional[int] = None) -> list[int]:
-        """Leaf call sequence actually executed for this round count."""
-        rounds = self.resolve_rounds(rounds)
-        if rounds is None:
-            return list(self.plan.leaf_sequence)
-        return [0] * rounds + [1]
-
-    def _adapter_after(self, exec_seq: list[int], rounds: Optional[int]) -> dict[int, str]:
-        # Map call index -> adapter name applied after that call finishes.
-        if not (self.policy.adapters and rounds is not None):
-            return {}
-        return {rounds - 1: f"adapter.{rounds}"}
+        """Leaf call sequence executed for this round count: every position
+        that always runs plus the first rounds - 1 skip-eligible ones."""
+        dropped = set(self._eligible[self.resolve_rounds(rounds) - 1:])
+        return [
+            leaf for i, leaf in enumerate(self.plan.leaf_sequence)
+            if i not in dropped
+        ]
 
     def forward(self, params, tokens, rounds=None, segments=None):
         logits, _, _ = self._run(params, tokens, rounds, segments, need_tape=False)
@@ -352,10 +286,9 @@ class RecursiveModel:
                 grads[name] = np.zeros_like(p)
         return loss, grads, info
 
-    def kv_cache_bytes(self, rounds=None, itemsize: Optional[int] = None) -> int:
-        if itemsize is None:
-            itemsize = self.dtype.itemsize
-        return kv_cache_bytes(self.dims, self.policy, rounds, itemsize)
+    def kv_cache_bytes(self, rounds=None) -> int:
+        """K/V bytes per sequence at seq_len for this round count; see _kv_bytes."""
+        return self._kv_bytes(self.leaf_exec(rounds), self.dims.seq_len)
 
     # -------------------------------------------------------------- internals
 
@@ -369,13 +302,12 @@ class RecursiveModel:
             raise ValueError(f"sequence length {T} exceeds seq_len {self.dims.seq_len}")
         rounds = self.resolve_rounds(rounds)
         exec_seq = self.leaf_exec(rounds)
-        adapters_at = self._adapter_after(exec_seq, rounds)
+        adapter = f"adapter.{rounds}" if self.policy.adapters else None
         mask = segments_to_mask(segments) if segments is not None else None
 
         h, emb_cache = embed_fwd(tokens, params["embed.token"], params["embed.pos"])
         share = self.policy.kv_share
-        cache_set = KVCacheSet()
-        recursive_leaf = exec_seq[0] if rounds is not None else None
+        first_kv: dict[tuple[int, int], tuple] = {}  # (leaf, layer) -> (k, v)
         tape = {"emb": emb_cache, "calls": [], "T": T} if need_tape else None
         seen: set[int] = set()
 
@@ -384,18 +316,22 @@ class RecursiveModel:
             consume = share and leaf in seen
             produce = share and not consume
             seen.add(leaf)
+            adapted = None
+            if adapter is not None and ci == len(exec_seq) - 1:
+                adapted = (adapter, h)
+                h = h @ params[adapter]
             layer_records = []
             for l in range(self.layers_per_block):
                 prefix = f"block.{label}.layer.{l}."
                 xn1, c_ln1 = layernorm_fwd(
                     h, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"]
                 )
-                kv_in = cache_set.get(leaf, l) if consume else None
+                kv_in = first_kv[(leaf, l)] if consume else None
                 attn_out, kv, c_attn = attention_fwd(
                     xn1, params, prefix + "attn.", self.dims.n_heads, kv_in, mask
                 )
-                if produce and (leaf == recursive_leaf or recursive_leaf is None):
-                    cache_set.put(leaf, l, *kv)
+                if produce:
+                    first_kv[(leaf, l)] = kv
                 h = h + attn_out
                 xn2, c_ln2 = layernorm_fwd(
                     h, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"]
@@ -404,19 +340,10 @@ class RecursiveModel:
                 h = h + mlp_out
                 if need_tape:
                     layer_records.append((prefix, c_ln1, c_attn, c_ln2, c_mlp))
-            adapter_name = adapters_at.get(ci)
-            if adapter_name is not None:
-                a_in = h
-                h = h @ params[adapter_name]
-                if need_tape:
-                    tape["calls"].append(
-                        {"leaf": leaf, "produced": produce, "layers": layer_records,
-                         "adapter": (adapter_name, a_in)}
-                    )
-            elif need_tape:
+            if need_tape:
                 tape["calls"].append(
                     {"leaf": leaf, "produced": produce, "layers": layer_records,
-                     "adapter": None}
+                     "adapter": adapted}
                 )
 
         xnf, c_final = layernorm_fwd(
@@ -426,29 +353,31 @@ class RecursiveModel:
         if need_tape:
             tape["final"] = (c_final, xnf)
 
-        # Cache accounting covers the recursive leaf only: without sharing,
-        # every one of its calls would hold a fresh per-layer (k, v) pair.
-        if share:
-            realized = cache_set.bytes_per_sequence()
-        elif rounds is not None:
-            realized = (
-                rounds * self.layers_per_block * 2 * T * self.dims.d_model
-                * self.dtype.itemsize
-            )
-        else:
-            realized = (
-                len(exec_seq) * self.layers_per_block * 2 * T * self.dims.d_model
-                * self.dtype.itemsize
-            )
         info = {
             "exec": exec_seq,
             "rounds": rounds,
-            "adapter": adapters_at.get((rounds - 1) if rounds is not None else -1),
-            "kv_cache_bytes": realized,
+            "adapter": adapter,
+            "kv_cache_bytes": self._kv_bytes(exec_seq, T),
         }
         if squeeze:
             logits = logits[0]
         return logits, tape, info
+
+    def _kv_bytes(self, exec_seq: list[int], T: int) -> int:
+        """Bytes per sequence of the per-layer (k, v) pairs at length T held by
+        every executed call but the last. With kv_share a leaf counts once,
+        since its later calls read its first call's pair.
+
+        For A^r B at k rounds the last call is B, which runs once whatever the
+        depth, so this is k calls of A, or one with kv_share. Other plans
+        follow the same rule: ABCD counts A, B and C.
+        """
+        calls = exec_seq[:-1]
+        held = len(set(calls)) if self.policy.kv_share else len(calls)
+        return (
+            held * self.layers_per_block * 2 * T * self.dims.d_model
+            * self.dtype.itemsize
+        )
 
     def _backward(self, params, tape, dlogits):
         grads: dict[str, np.ndarray] = {}
@@ -465,12 +394,6 @@ class RecursiveModel:
 
         pending_kv: dict[tuple[int, int], list] = {}
         for call in reversed(tape["calls"]):
-            if call["adapter"] is not None:
-                a_name, a_in = call["adapter"]
-                a2 = a_in.reshape(-1, a_in.shape[-1])
-                dh2 = dh.reshape(-1, dh.shape[-1])
-                _acc(grads, a_name, a2.T @ dh2)
-                dh = dh @ params[a_name].T
             leaf = call["leaf"]
             for l in range(len(call["layers"]) - 1, -1, -1):
                 prefix, c_ln1, c_attn, c_ln2, c_mlp = call["layers"][l]
@@ -499,6 +422,12 @@ class RecursiveModel:
                 _acc(grads, prefix + "ln1.gamma", dgam)
                 _acc(grads, prefix + "ln1.beta", dbet)
                 dh = dh + dres
+            if call["adapter"] is not None:
+                a_name, a_in = call["adapter"]
+                a2 = a_in.reshape(-1, a_in.shape[-1])
+                dh2 = dh.reshape(-1, dh.shape[-1])
+                _acc(grads, a_name, a2.T @ dh2)
+                dh = dh @ params[a_name].T
 
         dtok, dpos_rows, T = embed_bwd(dh, tape["emb"])
         _acc(grads, "embed.token", dtok)

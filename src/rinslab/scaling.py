@@ -273,6 +273,8 @@ def fit_to_json(fit: FitResult) -> dict:
         "eps_inf": fit.eps_inf,
         "residual": fit.residual,
         "n_points": fit.n_points,
+        "fit_x_min": fit.fit_x_min,
+        "fit_x_max": fit.fit_x_max,
     }
 
 
@@ -283,6 +285,8 @@ def fit_from_json(d: dict) -> FitResult:
         eps_inf=float(d["eps_inf"]),
         residual=float(d["residual"]),
         n_points=int(d["n_points"]),
+        fit_x_min=float(d["fit_x_min"]),
+        fit_x_max=float(d["fit_x_max"]),
     )
 
 

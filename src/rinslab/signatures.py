@@ -14,10 +14,9 @@ per-position skip-eligibility mask used by stochastic training.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 __all__ = [
     "SignatureParseError",
@@ -28,12 +27,9 @@ __all__ = [
     "render",
     "to_tagged",
     "expand",
-    "is_rins",
     "rins_rounds",
     "layers_per_block",
     "leaf_label",
-    "plan_to_json",
-    "plan_from_json",
 ]
 
 
@@ -153,22 +149,11 @@ def parse_tagged(text: str) -> Signature:
     return parse(text, 1)
 
 
-def is_rins(sig: Signature) -> bool:
-    """True only for degree-1 A^r B with r >= 2 (AB and ABAB are not RINS)."""
-    s = sig.symbols
-    return (
-        sig.degree == 1
-        and len(s) >= 3
-        and set(s) == {"A", "B"}
-        and s == "A" * (len(s) - 1) + "B"
-    )
-
-
 def rins_rounds(sig: Signature) -> Optional[int]:
     """Recursion count r for A^r B shapes (AB gives 1); None otherwise.
 
-    Plans with a defined r support the rounds-controlled executor: r leading
-    calls of block A followed by one call of block B.
+    r leading calls of block A followed by one call of block B; expand()
+    marks the r - 1 middle calls skip-eligible, so r_max = r.
     """
     s = sig.symbols
     if sig.degree == 1 and set(s) == {"A", "B"} and s == "A" * (len(s) - 1) + "B":
@@ -196,7 +181,8 @@ class ExecutionPlan:
     execution order. unique_leaf_count is the number of distinct leaf blocks:
     parameters exist once per distinct leaf, so it fixes parameter count.
     skip_eligible marks positions the stochastic sampler may drop; the first
-    and last positions are never eligible.
+    and last positions are never eligible. The executor's r_max is 1 + the
+    number of eligible positions.
     """
 
     leaf_sequence: tuple[int, ...]
@@ -245,14 +231,13 @@ def _expand_ids(symbols: str, degree: int, next_id: int) -> tuple[list[int], int
     return seq, next_id
 
 
-def expand(sig: Signature, skip_mask: Optional[Sequence[bool]] = None) -> ExecutionPlan:
+def expand(sig: Signature) -> ExecutionPlan:
     """Expand a signature into its flat ExecutionPlan.
 
-    The built-in skip mask is the stochastic-recursion shape for degree-1
-    A^r B (first and last calls always run, middle calls eligible) and
-    all-False for everything else. Callers may pass an explicit skip_mask to
-    experiment with other policies; it must keep the first and last positions
-    ineligible.
+    The skip mask is the stochastic-recursion shape for degree-1 A^r B (first
+    and last calls always run, the r - 1 middle calls eligible) and all-False
+    for everything else. Plans with other masks are built as ExecutionPlan
+    directly.
     """
     seq, _ = _expand_ids(sig.symbols, sig.degree, 0)
     # Relabel so ids appear in first-occurrence order regardless of expansion
@@ -266,19 +251,11 @@ def expand(sig: Signature, skip_mask: Optional[Sequence[bool]] = None) -> Execut
     unique = len(remap)
     assert unique == sig.unique_leaf_count
 
-    if skip_mask is not None:
-        mask = tuple(bool(b) for b in skip_mask)
-        if len(mask) != len(canon):
-            raise ValueError(
-                f"skip mask length {len(mask)} != plan length {len(canon)}"
-            )
-        if mask and (mask[0] or mask[-1]):
-            raise ValueError("first and last positions are never skip-eligible")
-    elif is_rins(sig):
-        r = len(sig.symbols) - 1
-        mask = (False,) + (True,) * (r - 1) + (False,)
-    else:
+    r = rins_rounds(sig)
+    if r is None:
         mask = (False,) * len(canon)
+    else:
+        mask = (False,) + (True,) * (r - 1) + (False,)
     return ExecutionPlan(tuple(canon), unique, mask, sig)
 
 
@@ -291,25 +268,3 @@ def layers_per_block(sig: Signature, total_layers: int) -> int:
     if total_layers < 1:
         raise ValueError(f"total_layers must be >= 1, got {total_layers}")
     return total_layers // sig.unique_leaf_count
-
-
-def plan_to_json(plan: ExecutionPlan) -> str:
-    return json.dumps(
-        {
-            "signature": to_tagged(plan.source),
-            "leaf_sequence": list(plan.leaf_sequence),
-            "unique_leaf_count": plan.unique_leaf_count,
-            "skip_eligible": [bool(b) for b in plan.skip_eligible],
-        }
-    )
-
-
-def plan_from_json(text: str) -> ExecutionPlan:
-    obj = json.loads(text)
-    sig = parse_tagged(obj["signature"])
-    return ExecutionPlan(
-        tuple(int(i) for i in obj["leaf_sequence"]),
-        int(obj["unique_leaf_count"]),
-        tuple(bool(b) for b in obj["skip_eligible"]),
-        sig,
-    )

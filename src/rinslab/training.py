@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from .corpus import PackedBatch, segments_from_boundaries
 from .evals import held_out_log_perplexity
-from .ledger import expected_stochastic_cost, step_cost
+from .ledger import expected_stochastic_cost
 from .model import RecursiveModel, sample_rounds
 from .optim import AdamState, NonFiniteGradientError, TrainConfig, adam_step, init_adam_state, lr_at
 from .signatures import to_tagged
@@ -43,7 +43,7 @@ class TraceRecord:
     compute: float          # cumulative realized cost, per-sequence units
     train_loss: float
     lr: float
-    rounds: Optional[int]
+    rounds: int
     eval_losses: dict[str, float] = field(default_factory=dict)
 
 
@@ -82,7 +82,7 @@ class LossTrace:
                     repr(r.compute),
                     repr(r.train_loss),
                     repr(r.lr),
-                    "" if r.rounds is None else r.rounds,
+                    r.rounds,
                 ]
                 for n in names:
                     row.append(repr(r.eval_losses[n]) if n in r.eval_losses else "")
@@ -141,30 +141,6 @@ class LossTrace:
                 )
         return trace
 
-    @classmethod
-    def from_csv(cls, path) -> "LossTrace":
-        trace = cls()
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            names = [h[len("eval_"):] for h in header[5:]]
-            trace.eval_names = names
-            for row in reader:
-                evals = {
-                    n: float(v) for n, v in zip(names, row[5:]) if v != ""
-                }
-                trace.records.append(
-                    TraceRecord(
-                        step=int(row[0]),
-                        compute=float(row[1]),
-                        train_loss=float(row[2]),
-                        lr=float(row[3]),
-                        rounds=None if row[4] == "" else int(row[4]),
-                        eval_losses=evals,
-                    )
-                )
-        return trace
-
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
@@ -204,13 +180,7 @@ def train(
         raise ValueError("no training batches")
     eval_batches = eval_batches or {}
     policy = model.policy
-    has_rounds = model.resolve_rounds(None) is not None
-
-    expected_step_cost = (
-        expected_stochastic_cost(model.plan, model.dims, policy.p_skip)
-        if has_rounds
-        else step_cost(model.plan, model.dims)
-    )
+    expected_step_cost = expected_stochastic_cost(model.plan, model.dims, policy.p_skip)
     lpb = model.layers_per_block
     seq = model.dims.seq_len
 
@@ -287,9 +257,7 @@ def train(
         batch = batches[batch_cursor]
         batch_cursor += 1
 
-        rounds = None
-        if has_rounds:
-            rounds = int(sample_rounds(policy, rounds_rng))
+        rounds = int(sample_rounds(policy, rounds_rng))
         segments = (
             segments_from_boundaries(batch.boundaries) if cfg.mask_reset else None
         )
@@ -332,11 +300,8 @@ def train(
 
         record = TraceRecord(step, cum_compute, loss, lr_at(cfg, step), rounds)
         if eval_batches and (step % cfg.eval_interval == 0 or step == cfg.total_steps):
-            eval_rounds = None
-            if has_rounds:
-                eval_rounds = policy.inference_rounds or policy.r_max
             record.eval_losses = _eval_all(
-                model, params, eval_batches, eval_rounds, cfg.mask_reset
+                model, params, eval_batches, model.resolve_rounds(None), cfg.mask_reset
             )
         trace.records.append(record)
 

@@ -36,23 +36,6 @@ def rng():
     return np.random.default_rng(7)
 
 
-class TestLinear:
-    def test_grads(self, rng):
-        x = rng.normal(size=(3, 4)).astype(np.float64)
-        w = rng.normal(size=(4, 5)).astype(np.float64)
-        b = rng.normal(size=(5,)).astype(np.float64)
-        proj = rng.normal(size=(3, 5))
-
-        def loss():
-            return float((layers.linear_fwd(x, w, b)[0] * proj).sum())
-
-        out, cache = layers.linear_fwd(x, w, b)
-        dx, dw, db = layers.linear_bwd(proj, cache)
-        assert rel_err(dx, fd_grad(loss, x)) < 1e-7
-        assert rel_err(dw, fd_grad(loss, w)) < 1e-7
-        assert rel_err(db, fd_grad(loss, b)) < 1e-7
-
-
 class TestGelu:
     def test_grad(self, rng):
         x = rng.normal(size=(4, 6)).astype(np.float64)

@@ -206,14 +206,12 @@ class TestEquivalences:
 
 class TestKVSharing:
     def test_cache_bytes_constant_when_shared(self, tiny_dims):
-        share = rl.RecursionPolicy(r_max=4, kv_share=True)
-        noshare = rl.RecursionPolicy(r_max=4)
-        sizes_s = [
-            rl.kv_cache_bytes(tiny_dims, share, rounds=r) for r in (1, 2, 3, 4)
-        ]
-        sizes_n = [
-            rl.kv_cache_bytes(tiny_dims, noshare, rounds=r) for r in (1, 2, 3, 4)
-        ]
+        share = make_model(
+            tiny_dims, "A^4B", policy=rl.RecursionPolicy(r_max=4, kv_share=True)
+        )
+        noshare = make_model(tiny_dims, "A^4B")
+        sizes_s = [share.kv_cache_bytes(rounds=r) for r in (1, 2, 3, 4)]
+        sizes_n = [noshare.kv_cache_bytes(rounds=r) for r in (1, 2, 3, 4)]
         assert len(set(sizes_s)) == 1
         diffs = np.diff(sizes_n)
         assert (diffs == diffs[0]).all() and diffs[0] > 0
@@ -226,9 +224,28 @@ class TestKVSharing:
         p = m.init_params(0)
         for r in (1, 2, 3):
             _, info = m.forward_with_info(p, t, rounds=r)
-            assert info["kv_cache_bytes"] == rl.kv_cache_bytes(
-                tiny_dims, pol, rounds=r, itemsize=8
-            )
+            assert info["kv_cache_bytes"] == m.kv_cache_bytes(rounds=r)
+
+    @pytest.mark.parametrize(
+        "text, kv_share, want",
+        [
+            ("AAAB", False, [1280, 2560, 3840]),
+            ("AAAB", True, [1280, 1280, 1280]),
+            ("ABCD", False, [1920]),
+        ],
+    )
+    def test_cache_bytes_pinned(self, tiny_dims, toks, text, kv_share, want):
+        # One (k, v) pair per layer of every call but the last: for AAAB,
+        # 2 layers x 2 x T=5 x d=8 x 8 bytes = 1280 per A call, and kv_share
+        # keeps only the first call's; ABCD holds A, B and C at 1 layer each.
+        t, _ = toks
+        policy = rl.RecursionPolicy(r_max=len(want), kv_share=kv_share)
+        m = make_model(tiny_dims, text, policy=policy)
+        p = m.init_params(0)
+        rounds = range(1, len(want) + 1)
+        got = [m.forward_with_info(p, t, rounds=r)[1]["kv_cache_bytes"] for r in rounds]
+        assert got == want
+        assert [m.kv_cache_bytes(rounds=r) for r in rounds] == want
 
     def test_share_changes_output_beyond_round_one(self, tiny_dims, toks):
         t, _ = toks

@@ -1,5 +1,7 @@
 """Power-law fitting and optimal-round selection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -101,17 +103,19 @@ class TestSerialization:
         x, eps = synth()
         fit = rl.fit_power_law(list(zip(x, eps)))
         d = rl.fit_to_json(fit)
-        assert set(d) == {"beta", "c", "eps_inf", "residual", "n_points"}
-        back = rl.fit_from_json(d)
+        assert set(d) == {
+            "beta", "c", "eps_inf", "residual", "n_points", "fit_x_min", "fit_x_max"
+        }
+        back = rl.fit_from_json(json.loads(json.dumps(d)))
         assert back.beta == fit.beta and back.c == fit.c
+        # the data range survives, so optimal_r can still flag extrapolation
+        assert (back.fit_x_min, back.fit_x_max) == (x[0], x[-1])
 
     def test_fits_file(self, tmp_path):
         x, eps = synth()
         fits = {"run1": rl.fit_power_law(list(zip(x, eps)))}
         path = tmp_path / "fits.json"
         rl.write_fits_json(path, fits)
-        import json
-
         loaded = json.loads(path.read_text())
         assert "run1" in loaded and loaded["run1"]["c"] == fits["run1"].c
 

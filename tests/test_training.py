@@ -1,5 +1,6 @@
 """Training loop: overfit, determinism, aborts, resume, traces."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -80,11 +81,11 @@ class TestStochasticRecording:
         assert all(1 <= x <= 3 for x in rounds)
         assert len(set(rounds)) > 1  # actually varies at p_skip 0.5
 
-    def test_generic_plan_logs_no_rounds(self):
-        # ABCD has no recursion axis, so no per-step round draw is made
+    def test_generic_plan_logs_round_one(self):
+        # ABCD has no skip-eligible positions, so r_max = 1 and every draw is 1
         model, params, batches, cfg = tiny_setup("ABCD", total_steps=5)
         trace, _ = rl.train(model, params, batches, cfg)
-        assert all(r.rounds is None for r in trace.records)
+        assert all(r.rounds == 1 for r in trace.records)
 
     def test_degree_one_baseline_logs_round_one(self):
         # AB is the r=1 point of the A^r B family; rounds resolve to 1
@@ -105,6 +106,25 @@ class TestStochasticRecording:
         assert trace.expected_cost_per_step == pytest.approx(
             rl.expected_stochastic_cost(model.plan, model.dims, 0.5)
         )
+
+    def test_hand_built_mask_trains_at_ledger_cost(self):
+        # ABAB with its middle calls eligible: the ledger prices it, so the
+        # executor must accept and train it with stochastic depth.
+        base, _, batches, cfg = tiny_setup(total_steps=6)
+        dims = base.dims
+        plan = rl.ExecutionPlan(
+            (0, 1, 0, 1), 2, (False, True, True, False), rl.parse("ABAB")
+        )
+        model = rl.RecursiveModel(dims, plan, rl.RecursionPolicy(r_max=3, p_skip=0.5))
+        ledger = rl.expected_stochastic_cost(plan, dims, 0.5)
+        lpb, seq = model.layers_per_block, dims.seq_len
+        cost = {k: len(model.leaf_exec(k)) * lpb * seq for k in (1, 2, 3)}
+        assert cost[3] == rl.step_cost(plan, dims)
+        # rounds ~ 1 + Binomial(2, 0.5): weights 1/4, 1/2, 1/4
+        assert 0.25 * cost[1] + 0.5 * cost[2] + 0.25 * cost[3] == ledger
+        trace, _ = rl.train(model, model.init_params(0), batches, cfg)
+        assert not trace.aborted and len(trace.records) == 6
+        assert trace.expected_cost_per_step == ledger
 
 
 class TestAborts:
@@ -205,10 +225,14 @@ class TestTraces:
         )
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        back = rl.LossTrace.from_csv(path)
-        assert back.steps().tolist() == trace.steps().tolist()
-        np.testing.assert_allclose(back.train_losses(), trace.train_losses())
-        assert back.eval_points("held") == pytest.approx(trace.eval_points("held"))
+        with open(path, newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["step", "compute", "train_loss", "lr", "rounds", "eval_held"]
+        assert [int(r[0]) for r in rows] == trace.steps().tolist()
+        assert [float(r[2]) for r in rows] == trace.train_losses().tolist()
+        assert [int(r[4]) for r in rows] == [r.rounds for r in trace.records]
+        evals = [(float(r[1]), float(r[5])) for r in rows if r[5] != ""]
+        assert evals == trace.eval_points("held")
 
     def test_jsonl_round_trip_preserves_meta(self, tmp_path):
         model, params, batches, cfg = tiny_setup("AAB", p_skip=0.5, total_steps=6)
