@@ -94,13 +94,26 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
+def _check_size(path, expected: int, actual: int):
+    if actual < expected:
+        raise ValueError(
+            f"truncated checkpoint {path}: expected {expected} bytes, file has {actual}"
+        )
+
+
 def load_checkpoint(path) -> CheckpointData:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(8)
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
         hlen = int.from_bytes(f.read(8), "little")
+        _check_size(path, 16 + hlen, size)
         header = json.loads(f.read(hlen).decode("utf-8"))
+        if header["arrays"]:
+            last = header["arrays"][-1]
+            nbytes = np.dtype(last["dtype"]).itemsize * int(np.prod(last["shape"]))
+            _check_size(path, 16 + hlen + last["offset"] + nbytes, size)
         payload = f.read()
 
     params: dict[str, np.ndarray] = {}

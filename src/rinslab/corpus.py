@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -77,30 +77,6 @@ class GrammarSpec:
     @property
     def nonterminal_count(self) -> int:
         return len(self.rules)
-
-    def to_dict(self) -> dict:
-        return {
-            "rules": {
-                nt: [[list(rhs), p] for rhs, p in prods]
-                for nt, prods in self.rules.items()
-            },
-            "start": self.start,
-            "depth_cap": self.depth_cap,
-            "terminal_vocab": self.terminal_vocab,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GrammarSpec":
-        rules = {
-            nt: [(tuple(int(s) if not isinstance(s, str) else s for s in rhs), p)
-                 for rhs, p in prods]
-            for nt, prods in d["rules"].items()
-        }
-        return cls.from_productions(
-            rules, d["start"], int(d["depth_cap"]), int(d["terminal_vocab"]),
-            int(d.get("seed", 0)),
-        )
 
 
 def min_depths(spec: GrammarSpec) -> dict[str, float]:

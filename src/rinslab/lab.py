@@ -31,8 +31,9 @@ import csv
 import hashlib
 import json
 import os
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -41,7 +42,6 @@ import numpy as np
 from . import corpus as corpus_mod
 from .checkpoint import load_checkpoint
 from .ledger import (
-    InfeasiblePlanError,
     ModelDims,
     enumerate_sweep,
     expected_stochastic_cost,
@@ -53,7 +53,6 @@ from .model import RecursionPolicy, RecursiveModel, adapter_fraction
 from .optim import TrainConfig
 from .scaling import (
     FitResult,
-    OptimalRResult,
     RCurveFamily,
     fit_power_law,
     fit_to_json,
@@ -94,22 +93,38 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- INI parsing
 
+# Sections that are a dataclass, and the fields the INI never sets: r_max
+# comes from the signature, seed from [run], Adam's betas and eps are fixed.
+# Every other field is a key of its section and takes the field's default.
+_DATACLASS_SECTIONS = {
+    "model": (ModelDims, ()),
+    "policy": (RecursionPolicy, ("r_max",)),
+    "train": (TrainConfig, ("seed", "beta1", "beta2", "adam_eps")),
+}
+
+
+def _ini_fields(section: str):
+    cls, fixed = _DATACLASS_SECTIONS[section]
+    return [f for f in fields(cls) if f.name not in fixed]
+
+
 _KNOWN_KEYS = {
     "run": {"name", "out_dir", "seed"},
     "signature": {"value"},
-    "model": {"d_model", "n_heads", "mlp_dim", "vocab", "seq_len", "total_layers", "dtype"},
-    "policy": {"p_skip", "kv_share", "adapters", "inference_rounds"},
-    "train": {
-        "peak_lr", "weight_decay", "warmup_steps", "cooldown_steps", "total_steps",
-        "batch_size", "grad_clip_norm", "eval_interval", "mask_reset",
-    },
+    **{s: {f.name for f in _ini_fields(s)} for s in _DATACLASS_SECTIONS},
     "corpus": {"train", "eval"},
     "baseline": {"signature", "steps"},
 }
-_REQUIRED_SECTIONS = ("run", "signature", "model", "train", "corpus")
+_KNOWN_KEYS["model"].add("dtype")
+# "section" must be present; "section.key" must be present when its section is
+_REQUIRED = {
+    "run", "run.name", "signature", "signature.value", "model", "train",
+    "train.total_steps", "corpus", "corpus.train", "baseline.signature",
+    "baseline.steps",
+} | {f"model.{f.name}" for f in _ini_fields("model") if f.default is MISSING}
 
 
-def _parse_ini(text: str) -> dict[str, dict[str, str]]:
+def _parse_ini(text: str, known: dict, required: set) -> dict[str, dict[str, str]]:
     import configparser
 
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -117,59 +132,71 @@ def _parse_ini(text: str) -> dict[str, dict[str, str]]:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config parse failure: {e}") from e
-    return {s: dict(cp.items(s)) for s in cp.sections()}
-
-
-def _want(raw: dict, section: str) -> dict[str, str]:
-    if section not in raw:
-        raise ConfigError(f"missing required section [{section}]")
-    return raw[section]
-
-
-def _check_unknown(raw: dict):
+    raw = {s: dict(cp.items(s)) for s in cp.sections()}
     for section, keys in raw.items():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             raise ConfigError(f"unknown section [{section}]")
-        extra = set(keys) - _KNOWN_KEYS[section]
+        extra = set(keys) - known[section]
         if extra:
-            raise ConfigError(
-                f"unknown key {section}.{sorted(extra)[0]}"
-            )
+            raise ConfigError(f"unknown key {section}.{sorted(extra)[0]}")
+    for name in sorted(required):
+        section, _, key = name.partition(".")
+        if not key and section not in raw:
+            raise ConfigError(f"missing required section [{section}]")
+        if key and section in raw and key not in raw[section]:
+            raise ConfigError(f"missing required key {name}")
+    return raw
 
 
-def _get(sec: dict, section: str, key: str, default=None, required=False) -> Optional[str]:
-    if key in sec:
-        return sec[key]
-    if required:
-        raise ConfigError(f"missing required key {section}.{key}")
-    return default
-
-
-def _as_int(value: str, section: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected integer, got {value!r}")
-
-
-def _as_float(value: str, section: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected number, got {value!r}")
-
-
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
-
-def _as_bool(value: str, section: str, key: str) -> bool:
-    v = value.strip().lower()
-    if v in _TRUE:
+def _as_bool(text: str) -> bool:
+    v = text.strip().lower()
+    if v in ("true", "1", "yes", "on"):
         return True
-    if v in _FALSE:
+    if v in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{section}.{key}: expected boolean, got {value!r}")
+    raise ValueError(text)
+
+
+_CONVERTERS = {"int": int, "float": float, "bool": _as_bool}
+
+
+def _convert(text: str, type_name: str, where: str):
+    """Convert by a field's annotation ("int", "float", "bool", "Optional[int]")."""
+    type_name = type_name.removeprefix("Optional[").removesuffix("]")
+    try:
+        return _CONVERTERS[type_name](text)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {type_name}, got {text!r}") from None
+
+
+def _section(raw: dict, section: str, **given):
+    """Build a section's dataclass from its keys; `given` sets derived fields."""
+    values = raw.get(section, {})
+    kwargs = {
+        f.name: _convert(values[f.name], f.type, f"{section}.{f.name}")
+        for f in _ini_fields(section)
+        if f.name in values
+    }
+    kwargs.update(given)
+    try:
+        return _DATACLASS_SECTIONS[section][0](**kwargs)
+    except (ValueError, TypeError) as e:
+        key = next((k for k in kwargs if re.search(rf"\b{k}\b", str(e))), None)
+        raise ConfigError(f"{section}.{key}: {e}" if key else f"{section}: {e}") from e
+
+
+def _signature(text: str, where: str, total_layers: int) -> Signature:
+    try:
+        sig = parse_tagged(text)
+    except SignatureParseError as e:
+        raise ConfigError(f"{where}: {e}") from None
+    if layers_per_block(sig, total_layers) < 1:
+        raise ConfigError(
+            f"{where}: {to_tagged(sig)} is infeasible at "
+            f"model.total_layers={total_layers} (layers_per_block=0, "
+            f"needs {sig.unique_leaf_count} blocks)"
+        )
+    return sig
 
 
 @dataclass(frozen=True)
@@ -211,141 +238,37 @@ def config_hash(spec: RunSpec) -> str:
 
 
 def parse_run_config(text: str) -> RunSpec:
-    raw = _parse_ini(text)
-    _check_unknown(raw)
-    for section in _REQUIRED_SECTIONS:
-        _want(raw, section)
-
+    raw = _parse_ini(text, _KNOWN_KEYS, _REQUIRED)
     run = raw["run"]
-    name = _get(run, "run", "name", required=True)
-    out_dir = _get(run, "run", "out_dir", default=name)
-    seed = _as_int(_get(run, "run", "seed", default="0"), "run", "seed")
+    seed = _convert(run.get("seed", "0"), "int", "run.seed")
 
-    sig_text = _get(raw["signature"], "signature", "value", required=True)
-    try:
-        signature = parse_tagged(sig_text)
-    except SignatureParseError as e:
-        raise ConfigError(f"signature.value: {e}")
-
-    m = raw["model"]
-    dtype = _get(m, "model", "dtype", default="float32")
+    dims = _section(raw, "model")
+    dtype = raw["model"].get("dtype", "float32")
     if dtype not in ("float32", "float64"):
         raise ConfigError(f"model.dtype: expected float32 or float64, got {dtype!r}")
-    try:
-        dims = ModelDims(
-            d_model=_as_int(_get(m, "model", "d_model", required=True), "model", "d_model"),
-            n_heads=_as_int(_get(m, "model", "n_heads", required=True), "model", "n_heads"),
-            mlp_dim=_as_int(_get(m, "model", "mlp_dim", required=True), "model", "mlp_dim"),
-            vocab=_as_int(_get(m, "model", "vocab", required=True), "model", "vocab"),
-            seq_len=_as_int(_get(m, "model", "seq_len", required=True), "model", "seq_len"),
-            total_layers=_as_int(
-                _get(m, "model", "total_layers", required=True), "model", "total_layers"
-            ),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"model: {e}")
+    signature = _signature(raw["signature"]["value"], "signature.value", dims.total_layers)
+    policy = _section(raw, "policy", r_max=rins_rounds(signature) or 1)
 
-    lpb = layers_per_block(signature, dims.total_layers)
-    if lpb < 1:
-        raise ConfigError(
-            f"signature.value: {to_tagged(signature)} is infeasible at "
-            f"model.total_layers={dims.total_layers} (layers_per_block=0, "
-            f"needs {signature.unique_leaf_count} blocks)"
-        )
-
-    p = raw.get("policy", {})
-    r_max = rins_rounds(signature) or 1
-    ir_text = _get(p, "policy", "inference_rounds")
-    try:
-        policy = RecursionPolicy(
-            r_max=r_max,
-            p_skip=_as_float(_get(p, "policy", "p_skip", default="0"), "policy", "p_skip"),
-            kv_share=_as_bool(
-                _get(p, "policy", "kv_share", default="false"), "policy", "kv_share"
-            ),
-            adapters=_as_bool(
-                _get(p, "policy", "adapters", default="false"), "policy", "adapters"
-            ),
-            inference_rounds=None
-            if ir_text is None
-            else _as_int(ir_text, "policy", "inference_rounds"),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"policy: {e}")
-
-    t = raw["train"]
-    declared_total = _as_int(
-        _get(t, "train", "total_steps", required=True), "train", "total_steps"
-    )
-
+    declared_total = _convert(raw["train"]["total_steps"], "int", "train.total_steps")
+    total_steps = declared_total
     baseline = None
     if "baseline" in raw:
         b = raw["baseline"]
-        try:
-            bsig = parse_tagged(_get(b, "baseline", "signature", required=True))
-        except SignatureParseError as e:
-            raise ConfigError(f"baseline.signature: {e}")
-        bsteps = _as_int(_get(b, "baseline", "steps", required=True), "baseline", "steps")
+        bsig = _signature(b["signature"], "baseline.signature", dims.total_layers)
+        bsteps = _convert(b["steps"], "int", "baseline.steps")
         if bsteps < 1:
             raise ConfigError(f"baseline.steps: must be >= 1, got {bsteps}")
-        if layers_per_block(bsig, dims.total_layers) < 1:
-            raise ConfigError(
-                f"baseline.signature: {to_tagged(bsig)} infeasible at "
-                f"{dims.total_layers} layers (layers_per_block=0)"
-            )
         baseline = (bsig, bsteps)
-
-    if baseline is not None:
-        total_steps = matched_steps(
-            expand(baseline[0]), expand(signature), dims, dims, baseline[1]
-        )
+        total_steps = matched_steps(expand(bsig), expand(signature), dims, dims, bsteps)
         if total_steps < 1:
             raise ConfigError(
                 "baseline.steps: matched step count is 0; budget too small"
             )
-    else:
-        total_steps = declared_total
+    train_cfg = _section(raw, "train", total_steps=total_steps, seed=seed)
 
-    try:
-        train_cfg = TrainConfig(
-            peak_lr=_as_float(_get(t, "train", "peak_lr", default="5e-4"), "train", "peak_lr"),
-            weight_decay=_as_float(
-                _get(t, "train", "weight_decay", default="5e-5"), "train", "weight_decay"
-            ),
-            warmup_steps=_as_int(
-                _get(t, "train", "warmup_steps", default="0"), "train", "warmup_steps"
-            ),
-            cooldown_steps=_as_int(
-                _get(t, "train", "cooldown_steps", default="0"), "train", "cooldown_steps"
-            ),
-            total_steps=total_steps,
-            batch_size=_as_int(
-                _get(t, "train", "batch_size", default="8"), "train", "batch_size"
-            ),
-            grad_clip_norm=_as_float(
-                _get(t, "train", "grad_clip_norm", default="1.0"), "train", "grad_clip_norm"
-            ),
-            seed=seed,
-            eval_interval=_as_int(
-                _get(t, "train", "eval_interval", default="200"), "train", "eval_interval"
-            ),
-            mask_reset=_as_bool(
-                _get(t, "train", "mask_reset", default="false"), "train", "mask_reset"
-            ),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"train: {e}")
-
-    c = raw["corpus"]
-    corpus_train = _get(c, "corpus", "train", required=True)
+    corpus_train = raw["corpus"]["train"]
     evals = []
-    eval_text = _get(c, "corpus", "eval")
+    eval_text = raw["corpus"].get("eval")
     if eval_text:
         for part in eval_text.split(","):
             part = part.strip()
@@ -359,8 +282,8 @@ def parse_run_config(text: str) -> RunSpec:
             evals.append((ename.strip(), ref.strip()))
 
     return RunSpec(
-        name=name,
-        out_dir=out_dir,
+        name=run["name"],
+        out_dir=run.get("out_dir", run["name"]),
         seed=seed,
         signature=signature,
         dims=dims,
@@ -550,10 +473,12 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
 
 _SWEEP_KEYS = {
     "sweep": {"name", "baseline_signature", "baseline_steps"},
-    "model": _KNOWN_KEYS["model"],
-    "train": _KNOWN_KEYS["train"],
-    "corpus": _KNOWN_KEYS["corpus"],
     "run": {"seed"},
+    **{s: _KNOWN_KEYS[s] for s in ("model", "train", "corpus")},
+}
+_SWEEP_REQUIRED = {
+    "sweep", "sweep.baseline_signature", "sweep.baseline_steps",
+    "model", "train", "corpus",
 }
 
 
@@ -597,23 +522,14 @@ def cmd_sweep(config_path, out_root: Optional[str] = None, jobs: int = 1) -> lis
     config_path = Path(config_path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
-    raw = _parse_ini(config_path.read_text(encoding="utf-8"))
-    for section, keys in raw.items():
-        if section not in _SWEEP_KEYS:
-            raise ConfigError(f"unknown section [{section}] in sweep config")
-        extra = set(keys) - _SWEEP_KEYS[section]
-        if extra:
-            raise ConfigError(f"unknown key {section}.{sorted(extra)[0]} in sweep config")
-    for section in ("sweep", "model", "train", "corpus"):
-        _want(raw, section)
-    sweep = raw["sweep"]
-    sweep_name = _get(sweep, "sweep", "name", default="sweep")
-    _get(sweep, "sweep", "baseline_signature", required=True)
-    _get(sweep, "sweep", "baseline_steps", required=True)
-    total_layers = _as_int(
-        _get(raw["model"], "model", "total_layers", required=True),
-        "model", "total_layers",
+    raw = _parse_ini(config_path.read_text(encoding="utf-8"), _SWEEP_KEYS, _SWEEP_REQUIRED)
+    sweep_name = raw["sweep"].get("name", "sweep")
+    total_layers = _section(raw, "model").total_layers
+    bsig = _signature(
+        raw["sweep"]["baseline_signature"], "sweep.baseline_signature", total_layers
     )
+    # the shared sections fail here, once, not in every candidate
+    parse_run_config(_sweep_candidate_config(raw, bsig, sweep_name))
 
     root = output_root(out_root)
     sweep_dir = root / sweep_name

@@ -13,7 +13,7 @@ are executed: recursion buys compute, not parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Literal
 
@@ -58,10 +58,10 @@ class ModelDims:
     total_layers: int
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "mlp_dim", "vocab", "seq_len", "total_layers"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+                raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -72,8 +72,7 @@ class ModelDims:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelDims":
-        return cls(**{k: int(d[k]) for k in (
-            "d_model", "n_heads", "mlp_dim", "vocab", "seq_len", "total_layers")})
+        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
 def _lpb_or_raise(plan: ExecutionPlan, dims: ModelDims) -> int:

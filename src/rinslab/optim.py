@@ -15,7 +15,7 @@ is ~1e-5 scale and irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ class TrainConfig:
     warmup_steps: int = 0
     cooldown_steps: int = 0
     total_steps: int = 1
-    batch_size: int = 1
+    batch_size: int = 8
     grad_clip_norm: float = 1.0
     seed: int = 0
     beta1: float = 0.9
@@ -79,10 +79,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def lr_at(cfg: TrainConfig, step: int) -> float:

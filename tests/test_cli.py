@@ -164,6 +164,52 @@ class TestConfigHash:
         assert len(h) == 64
         int(h, 16)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (make_ini(),
+             "7595f1d73c5f03e795e4b1faecf3d48b0744c776893f04c013e73fef460bdc8a"),
+            (make_ini(policy_lines="[policy]\np_skip = 0.5\nkv_share = true\nadapters = yes\n"),
+             "bcc4c8eebf0114d4b376e60be40f30466399f515e620bf9f4356fe344bc6fe15"),
+            (make_ini(signature="AA", baseline=("A", 8), total_steps=999),
+             "2c369a842d51d5569b7de6081cc765aeee5a00880857bc576dabb631af7a4900"),
+            # batch_size, eval_interval and warmup_steps take their defaults
+            (make_ini().replace("batch_size = 4\n", "")
+             .replace("eval_interval = 3\n", "").replace("warmup_steps = 1\n", ""),
+             "deb7994ba7ad345937f24c423a3c4027b34f2174751e0b3e2688e3059d81ca85"),
+        ],
+    )
+    def test_pinned_hashes(self, text, expected):
+        # completed runs are found by this hash; changing it re-runs them
+        assert rl.config_hash(rl.parse_run_config(text)) == expected
+
+
+def test_accepted_keys_pinned():
+    from rinslab.lab import _KNOWN_KEYS, _SWEEP_KEYS
+
+    model = {"d_model", "n_heads", "mlp_dim", "vocab", "seq_len", "total_layers", "dtype"}
+    train = {
+        "peak_lr", "weight_decay", "warmup_steps", "cooldown_steps", "total_steps",
+        "batch_size", "grad_clip_norm", "eval_interval", "mask_reset",
+    }
+    corpus = {"train", "eval"}
+    assert _KNOWN_KEYS == {
+        "run": {"name", "out_dir", "seed"},
+        "signature": {"value"},
+        "model": model,
+        "policy": {"p_skip", "kv_share", "adapters", "inference_rounds"},
+        "train": train,
+        "corpus": corpus,
+        "baseline": {"signature", "steps"},
+    }
+    assert _SWEEP_KEYS == {
+        "sweep": {"name", "baseline_signature", "baseline_steps"},
+        "model": model,
+        "train": train,
+        "corpus": corpus,
+        "run": {"seed"},
+    }
+
 
 class TestCmdRun:
     def test_artifacts_and_manifest(self, tmp_path):
@@ -315,6 +361,23 @@ class TestCmdSweep:
         cfg.write_text(make_sweep_ini().replace("name = sw", "name = sw\nturbo = 1"))
         with pytest.raises(rl.ConfigError, match="sweep.turbo"):
             rl.cmd_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda t: t.replace("d_model = 16", "d_model = wide"), "model.d_model"),
+            (lambda t: t.replace("total_steps = 8\n", ""), "train.total_steps"),
+            (lambda t: t.replace("baseline_signature = A", "baseline_signature = 7B"),
+             "sweep.baseline_signature"),
+        ],
+    )
+    def test_bad_shared_value_fails_before_any_candidate(self, tmp_path, mutate, fragment):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(mutate(make_sweep_ini()))
+        with pytest.raises(rl.ConfigError, match=fragment):
+            rl.cmd_sweep(cfg, out_root=str(tmp_path / "runs"))
+        assert not (tmp_path / "runs" / "sw").exists()
+        assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
 
 
 @pytest.fixture(scope="module")
