@@ -6,7 +6,9 @@ its own fit; the family of fits then answers "which depth wins at
 compute budget x".
 """
 
+import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,6 @@ with tempfile.TemporaryDirectory() as td:
     path = Path(td) / "breakpoints.csv"
     rl.write_breakpoints_csv(path, res)
     print("   " + "\n   ".join(path.read_text().strip().splitlines()[:3]))
-    d = rl.fit_to_json(fit)
-    print(f"   fit_to_json keys {sorted(d)} round trip ok: "
-          f"{rl.fit_to_json(rl.fit_from_json(d)) == d}")
+    d = asdict(fit)
+    print(f"   fit JSON keys {sorted(d)} round trip ok: "
+          f"{rl.FitResult(**json.loads(json.dumps(d))) == fit}")

@@ -25,7 +25,7 @@ for s in ("AB", "AAB", "AAAB", "ABAB", "ABBC"):
 print()
 print("Caret shorthand is accepted and canonicalized:")
 sig = rl.parse("A^3B")
-print(f"  A^3B parses to {sig.symbols!r}, rendered back as {rl.render(sig)!r}")
+print(f"  A^3B parses to {sig.symbols!r}, the canonical flat form")
 
 print()
 print("Nesting. Degree 2 rewrites every label into a fresh copy of the")

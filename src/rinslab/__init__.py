@@ -13,7 +13,6 @@ from .signatures import (
     ExecutionPlan,
     parse,
     parse_tagged,
-    render,
     to_tagged,
     expand,
     rins_rounds,
@@ -24,7 +23,6 @@ from .ledger import (
     InfeasiblePlanError,
     ModelDims,
     param_count,
-    adapter_param_count,
     step_cost,
     matched_steps,
     expected_stochastic_cost,
@@ -46,7 +44,7 @@ from .optim import (
     adam_step,
     global_grad_norm,
 )
-from .training import LossTrace, TraceRecord, train, moving_average, DIVERGENCE_FACTOR
+from .training import LossTrace, TraceRecord, train, DIVERGENCE_FACTOR
 from .corpus import (
     GrammarError,
     GrammarSpec,
@@ -55,7 +53,6 @@ from .corpus import (
     default_grammar,
     validate_grammar,
     min_depths,
-    sample_document,
     generate_corpus,
     pack_sequences,
     segments_from_boundaries,
@@ -70,8 +67,6 @@ from .scaling import (
     OptimalRResult,
     fit_power_law,
     optimal_r,
-    fit_to_json,
-    fit_from_json,
     write_fits_json,
     write_breakpoints_csv,
 )
@@ -106,22 +101,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Signature", "SignatureParseError", "ExecutionPlan", "parse", "parse_tagged",
-    "render", "to_tagged", "expand", "rins_rounds", "layers_per_block",
-    "leaf_label",
-    "InfeasiblePlanError", "ModelDims", "param_count", "adapter_param_count",
-    "step_cost", "matched_steps", "expected_stochastic_cost", "enumerate_sweep",
+    "to_tagged", "expand", "rins_rounds", "layers_per_block", "leaf_label",
+    "InfeasiblePlanError", "ModelDims", "param_count", "step_cost",
+    "matched_steps", "expected_stochastic_cost", "enumerate_sweep",
     "RecursionPolicy", "RecursiveModel", "sample_rounds",
     "adapter_fraction", "segments_to_mask",
     "TrainConfig", "AdamState", "NonFiniteGradientError", "lr_at",
     "init_adam_state", "adam_step", "global_grad_norm",
-    "LossTrace", "TraceRecord", "train", "moving_average", "DIVERGENCE_FACTOR",
+    "LossTrace", "TraceRecord", "train", "DIVERGENCE_FACTOR",
     "GrammarError", "GrammarSpec", "ByteTokenizer", "PackedBatch",
-    "default_grammar", "validate_grammar", "min_depths", "sample_document",
+    "default_grammar", "validate_grammar", "min_depths",
     "generate_corpus", "pack_sequences", "segments_from_boundaries",
     "save_tokens", "load_tokens", "ingest_text",
     "FitError", "FitResult", "RCurveFamily", "OptimalRResult", "fit_power_law",
-    "optimal_r", "fit_to_json", "fit_from_json", "write_fits_json",
-    "write_breakpoints_csv",
+    "optimal_r", "write_fits_json", "write_breakpoints_csv",
     "TemplateError", "ContextOverflowError", "MCQItem", "EvalResult",
     "render_template", "render_parts", "score_option", "eval_mcq",
     "held_out_log_perplexity", "read_task_jsonl", "write_task_jsonl",

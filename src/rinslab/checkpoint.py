@@ -5,13 +5,15 @@ arrays' bytes back to back in header order. The header records dims,
 signature, policy, step, dtype, an array index (name, dtype, shape, offset),
 and an opaque `extra` dict the training loop uses for optimizer step count,
 RNG states, and stream position, so a resumed run continues bit-for-bit.
+The file is written to a temporary path, synced to disk, then renamed over
+the target, so a crash leaves either the old checkpoint or the new one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,9 +76,9 @@ def save_checkpoint(
 
     dtype = str(next(iter(params.values())).dtype) if params else "float32"
     header = {
-        "dims": dims.to_dict(),
+        "dims": asdict(dims),
         "signature": signature,
-        "policy": policy.to_dict(),
+        "policy": asdict(policy),
         "step": int(step),
         "dtype": dtype,
         "extra": extra or {},
@@ -91,6 +93,8 @@ def save_checkpoint(
         f.write(blob)
         for _, arr in arrays:
             f.write(np.ascontiguousarray(arr).astype(_dtype_tag(arr), copy=False).tobytes())
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
@@ -136,9 +140,9 @@ def load_checkpoint(path) -> CheckpointData:
             params[name] = arr
 
     return CheckpointData(
-        dims=ModelDims.from_dict(header["dims"]),
+        dims=ModelDims(**header["dims"]),
         signature=header["signature"],
-        policy=RecursionPolicy.from_dict(header["policy"]),
+        policy=RecursionPolicy(**header["policy"]),
         step=int(header["step"]),
         dtype=header["dtype"],
         params=params,

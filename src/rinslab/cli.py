@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid config or infeasible plan (the message
-names the offending field), 3 runtime failure.
+names the offending field), 3 runtime failure, including a sweep in which
+any feasible candidate failed (reported after comparison.csv is written).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="compute-matched signature sweep")
     sweep.add_argument("config", help="path to the sweep spec")
     sweep.add_argument("--out-root", default=None)
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     fit = sub.add_parser("fit", help="fit saturating power laws to run traces")
     fit.add_argument("run_dirs", nargs="+", help="run directories with traces")
@@ -79,13 +79,18 @@ def main(argv=None) -> int:
                     f"train_loss={manifest['final_train_loss']:.4f}"
                 )
         elif args.command == "sweep":
-            rows = cmd_sweep(args.config, out_root=args.out_root, jobs=args.jobs)
+            rows = cmd_sweep(args.config, out_root=args.out_root)
             for r in rows:
                 loss = r.get("final_train_loss")
                 loss_s = f" loss={loss:.4f}" if isinstance(loss, float) else ""
                 print(
                     f"{r['signature']}@d{r['degree']}: {r.get('status')}{loss_s}"
                 )
+            failed = sum(r["status"] == "failed" for r in rows)
+            if failed:
+                print(f"error: {failed} of {sum(r['feasible'] for r in rows)} "
+                      "feasible candidates failed", file=sys.stderr)
+                return EXIT_RUNTIME
         elif args.command == "fit":
             fits = cmd_fit(
                 args.run_dirs, out_path=args.out, use=args.use,

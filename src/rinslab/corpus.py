@@ -29,7 +29,6 @@ __all__ = [
     "default_grammar",
     "validate_grammar",
     "min_depths",
-    "sample_document",
     "generate_corpus",
     "ByteTokenizer",
     "PackedBatch",
@@ -74,27 +73,20 @@ class GrammarSpec:
         validate_grammar(spec)
         return spec
 
-    @property
-    def nonterminal_count(self) -> int:
-        return len(self.rules)
+
+def _rhs_depth(rhs, depth: dict[str, float]) -> float:
+    """Depth of a production: 1 + its deepest nonterminal's depth."""
+    return 1.0 + max((depth[sym] for sym in rhs if isinstance(sym, str)), default=0.0)
 
 
 def min_depths(spec: GrammarSpec) -> dict[str, float]:
     """Minimum derivation depth per nonterminal; inf if it cannot terminate."""
     depth = {nt: float("inf") for nt in spec.rules}
-
-    def rhs_depth(rhs) -> float:
-        worst = 0.0
-        for sym in rhs:
-            if isinstance(sym, str):
-                worst = max(worst, depth[sym])
-        return 1.0 + worst
-
     changed = True
     while changed:
         changed = False
         for nt, prods in spec.rules.items():
-            best = min(rhs_depth(rhs) for rhs, _ in prods)
+            best = min(_rhs_depth(rhs, depth) for rhs, _ in prods)
             if best < depth[nt]:
                 depth[nt] = best
                 changed = True
@@ -140,19 +132,11 @@ def validate_grammar(spec: GrammarSpec):
 
 
 def _forced_production(spec: GrammarSpec, depths: dict[str, float]) -> dict[str, int]:
-    # Index of the minimum-depth production used once the cap is reached.
-    forced = {}
-    for nt, prods in spec.rules.items():
-        best_i, best_d = 0, float("inf")
-        for i, (rhs, _) in enumerate(prods):
-            worst = 1.0
-            for sym in rhs:
-                if isinstance(sym, str):
-                    worst = max(worst, 1.0 + depths[sym])
-            if worst < best_d:
-                best_i, best_d = i, worst
-        forced[nt] = best_i
-    return forced
+    # Index of the first minimum-depth production, used once the cap is reached.
+    return {
+        nt: min(range(len(prods)), key=lambda i: _rhs_depth(prods[i][0], depths))
+        for nt, prods in spec.rules.items()
+    }
 
 
 class _Sampler:
@@ -188,11 +172,6 @@ class _Sampler:
             for child in reversed(rhs):
                 stack.append((child, depth + 1))
         return out
-
-
-def sample_document(spec: GrammarSpec, rng: np.random.Generator) -> list[int]:
-    """Expand the start symbol to a terminal string, respecting the cap."""
-    return _Sampler(spec).sample(rng)
 
 
 def generate_corpus(

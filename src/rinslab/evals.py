@@ -11,7 +11,7 @@ byte-level output is part of this module's contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -228,40 +228,26 @@ def held_out_log_perplexity(
 
 
 def read_task_jsonl(path) -> list[MCQItem]:
+    """One MCQItem per non-blank line. Keys that are not MCQItem fields are
+    ignored; a missing context or prefix reads as empty, a missing style as
+    plain."""
+    names = [f.name for f in fields(MCQItem)]
     items = []
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            items.append(
-                MCQItem(
-                    context=obj.get("context", ""),
-                    prefix=obj.get("prefix", ""),
-                    options=tuple(obj["options"]),
-                    gold_index=int(obj["gold_index"]),
-                    style=obj.get("style", "plain"),
-                )
-            )
+            if line.strip():
+                obj = {"context": "", "prefix": "", **json.loads(line)}
+                kw = {k: obj[k] for k in names if k in obj}
+                kw["options"] = tuple(kw["options"])
+                items.append(MCQItem(**kw))
     return items
 
 
 def write_task_jsonl(path, items: Sequence[MCQItem]):
+    """One line of MCQItem fields per item; read_task_jsonl reads it back."""
     with open(path, "w", encoding="utf-8") as f:
         for item in items:
-            f.write(
-                json.dumps(
-                    {
-                        "context": item.context,
-                        "prefix": item.prefix,
-                        "options": list(item.options),
-                        "gold_index": item.gold_index,
-                        "style": item.style,
-                    }
-                )
-                + "\n"
-            )
+            f.write(json.dumps(asdict(item)) + "\n")
 
 
 def write_results_jsonl(path, rows: Sequence[dict]):

@@ -33,7 +33,7 @@ import json
 import os
 import re
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +55,6 @@ from .scaling import (
     FitResult,
     RCurveFamily,
     fit_power_law,
-    fit_to_json,
     optimal_r,
     write_breakpoints_csv,
     write_fits_json,
@@ -220,9 +219,9 @@ class RunSpec:
             "out_dir": self.out_dir,
             "seed": self.seed,
             "signature": to_tagged(self.signature),
-            "dims": self.dims.to_dict(),
-            "policy": self.policy.to_dict(),
-            "train": self.train_cfg.to_dict(),
+            "dims": asdict(self.dims),
+            "policy": asdict(self.policy),
+            "train": asdict(self.train_cfg),
             "corpus_train": self.corpus_train,
             "corpus_evals": [list(e) for e in self.corpus_evals],
             "baseline": None
@@ -357,7 +356,10 @@ def output_root(cli_value: Optional[str] = None) -> Path:
 
 def _write_json_atomic(path: Path, obj: dict):
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True), encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True))
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
@@ -418,8 +420,8 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         "signature": spec.signature.symbols,
         "degree": spec.signature.degree,
         "signature_tagged": to_tagged(spec.signature),
-        "dims": spec.dims.to_dict(),
-        "policy": spec.policy.to_dict(),
+        "dims": asdict(spec.dims),
+        "policy": asdict(spec.policy),
         "total_steps": spec.train_cfg.total_steps,
         "declared_total_steps": spec.declared_total_steps,
         "baseline": None
@@ -442,10 +444,9 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         train_batches,
         spec.train_cfg,
         eval_batches=eval_batches,
+        # checkpoints follow the eval cadence, so a killed run resumes from
+        # the last eval stamp instead of restarting
         checkpoint_path=str(ckpt_path),
-        # checkpoint at the eval cadence so a killed run resumes from the
-        # last eval stamp instead of restarting
-        checkpoint_interval=spec.train_cfg.eval_interval,
         resume_from=resume_from,
     )
     trace.to_csv(run_dir / "trace.csv")
@@ -503,21 +504,15 @@ def _sweep_candidate_config(raw: dict, sig: Signature, sweep_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_sweep_candidate(args) -> dict:
-    cfg_path, out_root = args
-    try:
-        return cmd_run(cfg_path, out_root)
-    except Exception as e:  # recorded, not fatal to the sweep
-        return {"status": "failed", "error": f"{type(e).__name__}: {e}"}
-
-
-def cmd_sweep(config_path, out_root: Optional[str] = None, jobs: int = 1) -> list[dict]:
+def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
     """Run every feasible sweep candidate compute-matched to the baseline.
 
-    Candidates run sequentially (or jobs-wide); completed runs are skipped on
-    re-invocation, so an interrupted sweep resumes where it stopped. Policies
-    are deterministic full-depth here; stochastic knobs belong to single
-    runs. Emits comparison.csv with one row per candidate, infeasible ones
+    Candidates run one after another from the candidate-*.ini files written
+    to the sweep directory; completed runs are skipped on re-invocation, so
+    an interrupted sweep resumes where it stopped. A candidate that raises
+    is recorded with status "failed" and the sweep goes on. Policies are
+    deterministic full-depth here; stochastic knobs belong to single runs.
+    Emits comparison.csv with one row per candidate, infeasible ones
     included."""
     config_path = Path(config_path)
     if not config_path.exists():
@@ -536,8 +531,8 @@ def cmd_sweep(config_path, out_root: Optional[str] = None, jobs: int = 1) -> lis
     sweep_dir.mkdir(parents=True, exist_ok=True)
 
     candidates = enumerate_sweep(total_layers)
-    jobs_args = []
     rows: list[dict] = []
+    pending: list[tuple[dict, Path]] = []
     for sig, feasible in candidates:
         row = {
             "signature": sig.symbols,
@@ -553,19 +548,14 @@ def cmd_sweep(config_path, out_root: Optional[str] = None, jobs: int = 1) -> lis
         tag = to_tagged(sig).replace("@", "-").lower()
         cfg_path = sweep_dir / f"candidate-{tag}.ini"
         cfg_path.write_text(cfg_text, encoding="utf-8")
-        jobs_args.append((str(cfg_path), str(root)))
+        pending.append((row, cfg_path))
         rows.append(row)
 
-    feasible_rows = [r for r in rows if r["feasible"]]
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("spawn").Pool(jobs) as pool:
-            results = pool.map(_run_sweep_candidate, jobs_args)
-    else:
-        results = [_run_sweep_candidate(a) for a in jobs_args]
-
-    for row, manifest in zip(feasible_rows, results):
+    for row, cfg_path in pending:
+        try:
+            manifest = cmd_run(cfg_path, str(root))
+        except Exception as e:  # recorded, not fatal to the sweep
+            manifest = {"status": "failed", "error": f"{type(e).__name__}: {e}"}
         row["status"] = manifest.get("status", "failed")
         row["params"] = manifest.get("params_count")
         row["steps"] = manifest.get("total_steps")
@@ -617,7 +607,6 @@ def cmd_fit(
     out_path=None,
     use: str = "train",
     last_frac: float = 1.0,
-    n_grid: int = 256,
 ) -> dict[str, FitResult]:
     """Fit each run's loss-vs-compute trace; write fits JSON when asked."""
     fits: dict[str, FitResult] = {}
@@ -625,7 +614,7 @@ def cmd_fit(
         rd = Path(rd)
         manifest = json.loads((rd / "manifest.json").read_text(encoding="utf-8"))
         pts = _trace_fit_points(rd, use, last_frac)
-        fits[manifest["name"]] = fit_power_law(pts, n_grid=n_grid)
+        fits[manifest["name"]] = fit_power_law(pts)
     if out_path is not None:
         write_fits_json(out_path, fits)
     return fits
@@ -676,7 +665,7 @@ def cmd_report(
                 w.writerow([repr(x), repr(y)])
 
     summary: dict = {
-        "fits": {name: fit_to_json(f) for name, f in fits.items()},
+        "fits": {name: asdict(f) for name, f in fits.items()},
         "use": use,
         "last_frac": last_frac,
     }

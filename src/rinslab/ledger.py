@@ -13,7 +13,7 @@ are executed: recursion buys compute, not parameters.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Literal
 
@@ -30,7 +30,6 @@ __all__ = [
     "ModelDims",
     "CostMode",
     "param_count",
-    "adapter_param_count",
     "step_cost",
     "matched_steps",
     "expected_stochastic_cost",
@@ -67,13 +66,6 @@ class ModelDims:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelDims":
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
-
 
 def _lpb_or_raise(plan: ExecutionPlan, dims: ModelDims) -> int:
     lpb = layers_per_block(plan.source, dims.total_layers)
@@ -100,7 +92,7 @@ def param_count(plan: ExecutionPlan, dims: ModelDims) -> int:
     Counts token and position embeddings, one stack of layers_per_block layers
     per distinct leaf block, the final norm, and the untied output head.
     Invariant to repetition in the plan. Adapter banks are optional equipment
-    counted separately by adapter_param_count.
+    and not counted here (adapter_fraction reports their share).
     """
     lpb = _lpb_or_raise(plan, dims)
     d = dims.d_model
@@ -109,13 +101,6 @@ def param_count(plan: ExecutionPlan, dims: ModelDims) -> int:
     final_norm = 2 * d
     blocks = plan.unique_leaf_count * lpb * _per_layer_params(dims)
     return embed + head + final_norm + blocks
-
-
-def adapter_param_count(dims: ModelDims, r_max: int) -> int:
-    """Parameters in an adapter bank: one bias-free d x d map per round."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    return r_max * dims.d_model * dims.d_model
 
 
 def _flops_per_token_layer(dims: ModelDims) -> float:

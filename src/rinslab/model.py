@@ -26,7 +26,7 @@ by plain accumulation into one dict keyed by parameter name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,20 +87,6 @@ class RecursionPolicy:
                 f"inference_rounds must be in [1, {self.r_max}], "
                 f"got {self.inference_rounds}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RecursionPolicy":
-        ir = d.get("inference_rounds")
-        return cls(
-            r_max=int(d["r_max"]),
-            p_skip=float(d["p_skip"]),
-            kv_share=bool(d["kv_share"]),
-            adapters=bool(d["adapters"]),
-            inference_rounds=None if ir is None else int(ir),
-        )
 
 
 def sample_rounds(policy: RecursionPolicy, rng: np.random.Generator, size=None):

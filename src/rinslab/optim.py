@@ -15,8 +15,7 @@ is ~1e-5 scale and irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +76,6 @@ class TrainConfig:
         if self.eval_interval < 1:
             raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def lr_at(cfg: TrainConfig, step: int) -> float:
     """Learning rate at an integer step in [0, total_steps]."""
@@ -128,11 +124,11 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
     step: int,
-    lr: Optional[float] = None,
 ) -> float:
     """One update, in place. Returns the pre-clip global gradient norm.
 
-    step is 1-based (it doubles as Adam's bias-correction counter). The whole
+    step is 1-based (it doubles as Adam's bias-correction counter) and sets
+    the learning rate, lr_at(cfg, step). The whole
     gradient dict is clipped jointly to grad_clip_norm before the moment
     update. Any non-finite gradient aborts the step before touching params
     or state.
@@ -151,8 +147,7 @@ def adam_step(
     if cfg.grad_clip_norm > 0 and norm > cfg.grad_clip_norm:
         scale = cfg.grad_clip_norm / norm
 
-    if lr is None:
-        lr = lr_at(cfg, step)
+    lr = lr_at(cfg, step)
     state.t = step
     bc1 = 1.0 - cfg.beta1 ** step
     bc2 = 1.0 - cfg.beta2 ** step

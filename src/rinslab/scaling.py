@@ -20,8 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "RCurveFamily",
     "OptimalRResult",
     "optimal_r",
-    "fit_to_json",
-    "fit_from_json",
     "write_fits_json",
     "write_breakpoints_csv",
 ]
@@ -49,7 +47,7 @@ class FitError(ValueError):
 class FitResult:
     """Fitted eps(x) = beta * x**(-c) + eps_inf.
 
-    residual is the weighted sum of squared errors against the raw losses.
+    residual is the sum of squared errors against the raw losses.
     fit_x_min/fit_x_max record the data range; predictions far outside it are
     extrapolations and optimal_r flags them.
     """
@@ -73,27 +71,24 @@ class FitResult:
         return self.beta * x ** (-self.c) + self.eps_inf
 
 
-def _ols_loglog(lx: np.ndarray, ly: np.ndarray, w: np.ndarray):
-    # Weighted least squares of ly on lx; returns (slope, intercept, sse).
-    sw = w.sum()
-    mx = (w * lx).sum() / sw
-    my = (w * ly).sum() / sw
-    vx = (w * (lx - mx) ** 2).sum()
+def _ols_loglog(lx: np.ndarray, ly: np.ndarray):
+    # Least squares of ly on lx; returns (slope, intercept).
+    mx = lx.sum() / lx.size
+    my = ly.sum() / ly.size
+    vx = ((lx - mx) ** 2).sum()
     if vx <= 0:
         raise FitError("degenerate x values in log space")
-    slope = (w * (lx - mx) * (ly - my)).sum() / vx
-    intercept = my - slope * mx
-    resid = ly - (slope * lx + intercept)
-    return slope, intercept, float((w * resid * resid).sum())
+    slope = ((lx - mx) * (ly - my)).sum() / vx
+    return slope, my - slope * mx
 
 
-def _sse_for_gap(gap: float, x: np.ndarray, eps: np.ndarray, w: np.ndarray, min_eps: float):
+def _sse_for_gap(gap: float, x: np.ndarray, eps: np.ndarray, min_eps: float):
     """Loss-space SSE of the best log-log line for eps_inf = min_eps - gap.
 
     The line (beta, c) comes from OLS on log(eps - eps_inf), but candidates
-    are compared by weighted SSE against the raw losses: log residuals blow
-    up as eps_inf approaches the smallest loss even for the true floor, so
-    they cannot arbitrate between floor candidates.
+    are compared by SSE against the raw losses: log residuals blow up as
+    eps_inf approaches the smallest loss even for the true floor, so they
+    cannot arbitrate between floor candidates.
 
     Returns (sse, slope, intercept); inf when the implied c is not positive.
     """
@@ -101,25 +96,23 @@ def _sse_for_gap(gap: float, x: np.ndarray, eps: np.ndarray, w: np.ndarray, min_
     y = eps - eps_inf
     if np.any(y <= 0):
         return float("inf"), 0.0, 0.0
-    slope, intercept, _ = _ols_loglog(np.log(x), np.log(y), w)
+    slope, intercept = _ols_loglog(np.log(x), np.log(y))
     if slope >= 0:  # c = -slope must be positive
         return float("inf"), slope, intercept
     pred = math.exp(intercept) * x**slope + eps_inf
-    sse = float((w * (pred - eps) ** 2).sum())
+    sse = float(((pred - eps) ** 2).sum())
     return sse, slope, intercept
 
 
 def fit_power_law(
     points: Sequence[tuple[float, float]],
     n_grid: int = 256,
-    weights: Optional[str] = None,
 ) -> FitResult:
     """Fit (x, loss) points to beta * x**(-c) + eps_inf.
 
     Needs >= 4 points with positive losses and distinct positive x. Point
     order does not matter (sorted internally); duplicate x values are the
-    non-monotone-x error. weights="recency" up-weights later (larger-x)
-    points linearly; the default weighs all points equally.
+    non-monotone-x error. All points weigh the same.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 4:
@@ -133,12 +126,6 @@ def fit_power_law(
         raise FitError("non-monotone x: duplicate x values in fit points")
     if np.any(eps <= 0):
         raise FitError("losses must be positive")
-    if weights is None:
-        w = np.ones_like(x)
-    elif weights == "recency":
-        w = 1.0 + np.arange(len(x), dtype=np.float64)
-    else:
-        raise ValueError(f"unknown weights mode {weights!r}")
 
     min_eps = float(eps.min())
     if n_grid < 8:
@@ -151,7 +138,7 @@ def fit_power_law(
     best_i, best = -1, (float("inf"), 0.0, 0.0)
     grid_sse = np.full(n_grid, float("inf"))
     for i, g in enumerate(gaps):
-        r = _sse_for_gap(float(g), x, eps, w, min_eps)
+        r = _sse_for_gap(float(g), x, eps, min_eps)
         grid_sse[i] = r[0]
         if r[0] < best[0]:
             best_i, best = i, r
@@ -170,20 +157,20 @@ def fit_power_law(
         a, b = lo, hi
         fa_x = b - _GOLDEN * (b - a)
         fb_x = a + _GOLDEN * (b - a)
-        fa = _sse_for_gap(math.exp(fa_x), x, eps, w, min_eps)[0]
-        fb = _sse_for_gap(math.exp(fb_x), x, eps, w, min_eps)[0]
+        fa = _sse_for_gap(math.exp(fa_x), x, eps, min_eps)[0]
+        fb = _sse_for_gap(math.exp(fb_x), x, eps, min_eps)[0]
         for _ in range(80):
             if fa <= fb:
                 b, fb_x, fb = fb_x, fa_x, fa
                 fa_x = b - _GOLDEN * (b - a)
-                fa = _sse_for_gap(math.exp(fa_x), x, eps, w, min_eps)[0]
+                fa = _sse_for_gap(math.exp(fa_x), x, eps, min_eps)[0]
             else:
                 a, fa_x, fa = fa_x, fb_x, fb
                 fb_x = a + _GOLDEN * (b - a)
-                fb = _sse_for_gap(math.exp(fb_x), x, eps, w, min_eps)[0]
+                fb = _sse_for_gap(math.exp(fb_x), x, eps, min_eps)[0]
         candidates += [math.exp(fa_x), math.exp(fb_x)]
 
-    evaluated = [_sse_for_gap(g, x, eps, w, min_eps) for g in candidates]
+    evaluated = [_sse_for_gap(g, x, eps, min_eps) for g in candidates]
     k = int(np.argmin([s[0] for s in evaluated]))
     gap_star = candidates[k]
     sse, slope, intercept = evaluated[k]
@@ -266,32 +253,9 @@ def optimal_r(family: RCurveFamily, compute_grid: Sequence[float]) -> OptimalRRe
     return OptimalRResult(grid, r_star, breakpoints, extrapolated)
 
 
-def fit_to_json(fit: FitResult) -> dict:
-    return {
-        "beta": fit.beta,
-        "c": fit.c,
-        "eps_inf": fit.eps_inf,
-        "residual": fit.residual,
-        "n_points": fit.n_points,
-        "fit_x_min": fit.fit_x_min,
-        "fit_x_max": fit.fit_x_max,
-    }
-
-
-def fit_from_json(d: dict) -> FitResult:
-    return FitResult(
-        beta=float(d["beta"]),
-        c=float(d["c"]),
-        eps_inf=float(d["eps_inf"]),
-        residual=float(d["residual"]),
-        n_points=int(d["n_points"]),
-        fit_x_min=float(d["fit_x_min"]),
-        fit_x_max=float(d["fit_x_max"]),
-    )
-
-
 def write_fits_json(path, fits: dict[str, FitResult]):
-    obj = {name: fit_to_json(f) for name, f in fits.items()}
+    """{name: FitResult fields}; FitResult(**entry) reads an entry back."""
+    obj = {name: asdict(f) for name, f in fits.items()}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2)
 

@@ -24,7 +24,6 @@ __all__ = [
     "ExecutionPlan",
     "parse",
     "parse_tagged",
-    "render",
     "to_tagged",
     "expand",
     "rins_rounds",
@@ -125,11 +124,6 @@ def parse(text: str, degree: int = 1) -> Signature:
     return Signature(_canonical_relabel(flat), degree)
 
 
-def render(sig: Signature) -> str:
-    """Canonical exponent-free string form."""
-    return sig.symbols
-
-
 def to_tagged(sig: Signature) -> str:
     """Stable textual form with the degree attached, e.g. "AAB@d2"."""
     return f"{sig.symbols}@d{sig.degree}"
@@ -204,10 +198,6 @@ class ExecutionPlan:
 
     def __len__(self) -> int:
         return len(self.leaf_sequence)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(leaf_label(i) for i in self.leaf_sequence)
 
 
 def _expand_ids(symbols: str, degree: int, next_id: int) -> tuple[list[int], int]:

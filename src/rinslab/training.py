@@ -17,12 +17,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import PackedBatch, segments_from_boundaries
 from .evals import held_out_log_perplexity
 from .ledger import expected_stochastic_cost
@@ -30,7 +30,7 @@ from .model import RecursiveModel, sample_rounds
 from .optim import AdamState, NonFiniteGradientError, TrainConfig, adam_step, init_adam_state, lr_at
 from .signatures import to_tagged
 
-__all__ = ["TraceRecord", "LossTrace", "train", "moving_average"]
+__all__ = ["TraceRecord", "LossTrace", "train"]
 
 log = logging.getLogger("rinslab.train")
 
@@ -56,9 +56,6 @@ class LossTrace:
     expected_cost_per_step: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records])
-
     def train_losses(self) -> np.ndarray:
         return np.array([r.train_loss for r in self.records])
 
@@ -71,83 +68,31 @@ class LossTrace:
         ]
 
     def to_csv(self, path):
-        names = self.eval_names
+        """One row per record: the scalar TraceRecord fields, then one
+        eval_<name> column per eval corpus (empty where it did not run)."""
+        scalars = [f.name for f in fields(TraceRecord) if f.name != "eval_losses"]
         with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "compute", "train_loss", "lr", "rounds"]
-                       + [f"eval_{n}" for n in names])
+            w = csv.writer(f)  # writes floats by repr, so they round-trip
+            w.writerow(scalars + [f"eval_{n}" for n in self.eval_names])
             for r in self.records:
-                row = [
-                    r.step,
-                    repr(r.compute),
-                    repr(r.train_loss),
-                    repr(r.lr),
-                    r.rounds,
-                ]
-                for n in names:
-                    row.append(repr(r.eval_losses[n]) if n in r.eval_losses else "")
-                w.writerow(row)
+                w.writerow([getattr(r, name) for name in scalars]
+                           + [r.eval_losses.get(n, "") for n in self.eval_names])
 
     def to_jsonl(self, path):
+        """A {"header": ...} line with every field but records, then one
+        line per TraceRecord."""
+        header = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
         with open(path, "w", encoding="utf-8") as f:
-            header = {
-                "eval_names": self.eval_names,
-                "aborted": self.aborted,
-                "abort_reason": self.abort_reason,
-                "expected_cost_per_step": self.expected_cost_per_step,
-                "meta": self.meta,
-            }
             f.write(json.dumps({"header": header}) + "\n")
             for r in self.records:
-                f.write(
-                    json.dumps(
-                        {
-                            "step": r.step,
-                            "compute": r.compute,
-                            "train_loss": r.train_loss,
-                            "lr": r.lr,
-                            "rounds": r.rounds,
-                            "eval_losses": r.eval_losses,
-                        }
-                    )
-                    + "\n"
-                )
+                f.write(json.dumps(asdict(r)) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "LossTrace":
-        trace = cls()
         with open(path, "r", encoding="utf-8") as f:
-            first = json.loads(f.readline())
-            header = first["header"]
-            trace.eval_names = list(header["eval_names"])
-            trace.aborted = bool(header["aborted"])
-            trace.abort_reason = header["abort_reason"]
-            trace.expected_cost_per_step = float(header["expected_cost_per_step"])
-            trace.meta = header.get("meta", {})
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                trace.records.append(
-                    TraceRecord(
-                        step=int(obj["step"]),
-                        compute=float(obj["compute"]),
-                        train_loss=float(obj["train_loss"]),
-                        lr=float(obj["lr"]),
-                        rounds=obj["rounds"],
-                        eval_losses={k: float(v) for k, v in obj["eval_losses"].items()},
-                    )
-                )
-        return trace
-
-
-def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if window < 1 or window > v.size:
-        raise ValueError(f"window {window} invalid for {v.size} values")
-    kernel = np.ones(window) / window
-    return np.convolve(v, kernel, mode="valid")
+            header = json.loads(f.readline())["header"]
+            records = [TraceRecord(**json.loads(line)) for line in f if line.strip()]
+        return cls(records=records, **header)
 
 
 def _eval_all(model, params, eval_batches, rounds, mask_reset):
@@ -166,15 +111,16 @@ def train(
     cfg: TrainConfig,
     eval_batches: Optional[dict[str, Sequence[PackedBatch]]] = None,
     checkpoint_path=None,
-    checkpoint_interval: Optional[int] = None,
-    resume_from: Union[None, str, CheckpointData] = None,
+    resume_from=None,
 ) -> tuple[LossTrace, AdamState]:
     """Run cfg.total_steps optimizer steps (or fewer on abort/resume).
 
     batches cycle when exhausted (logged once). Evaluation runs every
     cfg.eval_interval steps and at the final step, at the policy's inference
-    round count. Checkpoints carry everything resume needs; a resumed run
-    continues from the stored step with identical arithmetic.
+    round count. With checkpoint_path, a checkpoint is written at the same
+    cadence and at the end; it carries everything resume needs, so a run
+    resumed from that path continues from the stored step with identical
+    arithmetic.
     """
     if not batches:
         raise ValueError("no training batches")
@@ -192,11 +138,7 @@ def train(
     adam: Optional[AdamState] = None
 
     if resume_from is not None:
-        ckpt = (
-            resume_from
-            if isinstance(resume_from, CheckpointData)
-            else load_checkpoint(resume_from)
-        )
+        ckpt = load_checkpoint(resume_from)
         params.clear()
         params.update(ckpt.params)
         if ckpt.adam_m is not None:
@@ -305,8 +247,8 @@ def train(
             )
         trace.records.append(record)
 
-        if checkpoint_interval and step % checkpoint_interval == 0:
-            save(step)
+        if step % cfg.eval_interval == 0 and step < cfg.total_steps:
+            save(step)  # the last step is saved below
 
     save(step)
     return trace, adam

@@ -379,6 +379,23 @@ class TestCmdSweep:
         assert not (tmp_path / "runs" / "sw").exists()
         assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
 
+    def test_failed_candidate_exits_runtime(self, tmp_path, capsys):
+        # at 4 layers the deeper candidates get fewer matched steps than the
+        # warmup needs, so they fail; the baseline itself is valid
+        text = (make_sweep_ini().replace("warmup_steps = 1", "warmup_steps = 5")
+                .replace("total_layers = 2", "total_layers = 4"))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        code = cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        failed = [line for line in out.splitlines() if line.endswith(": failed")]
+        assert failed and "A@d1: done" in out.splitlines()[0]
+        assert f"{len(failed)} of " in err
+        # every row is reported before the exit code says something failed
+        rows = (tmp_path / "runs" / "sw" / "comparison.csv").read_text().splitlines()
+        assert sum(",failed," in r for r in rows) == len(failed)
+
 
 @pytest.fixture(scope="module")
 def family_dirs(tmp_path_factory):

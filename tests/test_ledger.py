@@ -35,12 +35,12 @@ class TestParamCount:
     def test_adapters_counted_separately(self, tiny_dims):
         plan = rl.expand(rl.parse("A^3B"))
         base = rl.param_count(plan, tiny_dims)
-        assert rl.adapter_param_count(tiny_dims, 3) == 3 * 8 * 8
         model = rl.RecursiveModel(
             tiny_dims, plan, rl.RecursionPolicy(r_max=3, adapters=True)
         )
         params = model.init_params(0)
         assert sum(p.size for p in params.values()) == base + 3 * 64
+        assert rl.adapter_fraction(params)["adapter_params"] == 3 * 8 * 8
 
     def test_degree_two_blocks(self):
         dims = rl.ModelDims(

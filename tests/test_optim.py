@@ -47,9 +47,9 @@ class TestAdamStep:
     def test_scalar_hand_trace(self):
         p = {"w": np.array([1.0])}
         g = {"w": np.array([0.5])}
-        cfg = mkcfg(grad_clip_norm=1e9)
+        cfg = mkcfg(peak_lr=0.1, grad_clip_norm=1e9)  # lr at step 1 is peak
         state = rl.init_adam_state(p)
-        norm = rl.adam_step(p, g, state, cfg, step=1, lr=0.1)
+        norm = rl.adam_step(p, g, state, cfg, step=1)
         assert norm == pytest.approx(0.5)
         # mhat=0.5, vhat=0.25 -> update 0.1*0.5/(0.5+1e-8)
         want = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8)
@@ -59,9 +59,9 @@ class TestAdamStep:
     def test_weight_decay_decoupled_pre_update(self):
         p = {"w": np.array([1.0])}
         g = {"w": np.array([0.5])}
-        cfg = mkcfg(weight_decay=0.01, grad_clip_norm=1e9)
+        cfg = mkcfg(peak_lr=0.1, weight_decay=0.01, grad_clip_norm=1e9)
         state = rl.init_adam_state(p)
-        rl.adam_step(p, g, state, cfg, step=1, lr=0.1)
+        rl.adam_step(p, g, state, cfg, step=1)
         # decay applies to the pre-update value: extra 0.1*0.01*1.0
         want = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8) - 0.1 * 0.01 * 1.0
         assert p["w"][0] == pytest.approx(want, rel=1e-12)
@@ -69,9 +69,9 @@ class TestAdamStep:
     def test_global_clip_rescales_all(self):
         p = {"a": np.zeros(9), "b": np.zeros(16)}
         g = {"a": np.full(9, 1.0), "b": np.full(16, 1.0)}  # norm 5
-        cfg = mkcfg(grad_clip_norm=1.0)
+        cfg = mkcfg(peak_lr=0.1, grad_clip_norm=1.0)
         state = rl.init_adam_state(p)
-        norm = rl.adam_step(p, g, state, cfg, step=1, lr=0.1)
+        norm = rl.adam_step(p, g, state, cfg, step=1)
         assert norm == pytest.approx(5.0)
         # after clip both entries carry grad 0.2; adam normalizes to ~lr
         assert np.allclose(p["a"], p["a"][0])
@@ -96,16 +96,16 @@ class TestAdamStep:
             rl.adam_step(p, {"other": np.array([0.1])}, state, mkcfg(), step=1)
 
     def test_bias_correction_over_steps(self):
-        # constant gradient: Adam update magnitude approaches lr as t grows
+        # constant gradient: bias correction makes every update the step's lr
         p = {"w": np.array([10.0])}
-        cfg = mkcfg(grad_clip_norm=1e9)
+        cfg = mkcfg(peak_lr=0.01, grad_clip_norm=1e9)
         state = rl.init_adam_state(p)
         prev = p["w"][0]
         for t in range(1, 50):
-            rl.adam_step(p, {"w": np.array([1.0])}, state, cfg, step=t, lr=0.01)
+            rl.adam_step(p, {"w": np.array([1.0])}, state, cfg, step=t)
             delta = prev - p["w"][0]
             prev = p["w"][0]
-            assert delta == pytest.approx(0.01, rel=1e-4)
+            assert delta == pytest.approx(rl.lr_at(cfg, t), rel=1e-4)
 
     def test_dtype_preserved(self):
         p = {"w": np.ones(4, dtype=np.float32)}

@@ -56,17 +56,6 @@ class TestFitRecovery:
         f2 = rl.fit_power_law(shuffled)
         assert f1 == f2
 
-    def test_recency_weighting_tracks_tail(self):
-        # corrupt the earliest points; recency weights should resist
-        x, eps = synth()
-        bad = eps.copy()
-        bad[:4] *= 1.5
-        f_plain = rl.fit_power_law(list(zip(x, bad)))
-        f_rec = rl.fit_power_law(list(zip(x, bad)), weights="recency")
-        err_plain = abs(f_plain.c - 0.5)
-        err_rec = abs(f_rec.c - 0.5)
-        assert err_rec <= err_plain
-
 
 class TestFitErrors:
     def test_too_few_points(self):
@@ -99,15 +88,17 @@ class TestFitErrors:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         x, eps = synth()
         fit = rl.fit_power_law(list(zip(x, eps)))
-        d = rl.fit_to_json(fit)
+        path = tmp_path / "fits.json"
+        rl.write_fits_json(path, {"run1": fit})
+        d = json.loads(path.read_text())["run1"]
         assert set(d) == {
             "beta", "c", "eps_inf", "residual", "n_points", "fit_x_min", "fit_x_max"
         }
-        back = rl.fit_from_json(json.loads(json.dumps(d)))
-        assert back.beta == fit.beta and back.c == fit.c
+        back = rl.FitResult(**d)
+        assert back == fit
         # the data range survives, so optimal_r can still flag extrapolation
         assert (back.fit_x_min, back.fit_x_max) == (x[0], x[-1])
 

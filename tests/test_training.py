@@ -203,13 +203,23 @@ class TestResume:
         trace, _ = rl.train(model, params, batches[:3], cfg)
         assert len(trace.records) == 7  # cycled without error
 
-    def test_checkpoint_interval_writes(self, tmp_path):
+    def test_checkpoint_interval_writes(self, tmp_path, monkeypatch):
+        # checkpoints follow the eval cadence, and the last step is saved once
+        import rinslab.training as training
+
+        saved = []
+        real_save = training.save_checkpoint
+
+        def spy(*args, **kwargs):
+            saved.append(kwargs["step"])
+            real_save(*args, **kwargs)
+
+        monkeypatch.setattr(training, "save_checkpoint", spy)
         model, params, batches, cfg = tiny_setup(total_steps=6)
+        cfg = dataclasses.replace(cfg, eval_interval=2)
         ckpt = tmp_path / "c.rlab"
-        rl.train(
-            model, params, batches, cfg,
-            checkpoint_path=ckpt, checkpoint_interval=2,
-        )
+        rl.train(model, params, batches, cfg, checkpoint_path=ckpt)
+        assert saved == [2, 4, 6]
         data = rl.load_checkpoint(ckpt)
         assert data.step == 6
         for k in params:
@@ -228,7 +238,7 @@ class TestTraces:
         with open(path, newline="") as f:
             header, *rows = list(csv.reader(f))
         assert header == ["step", "compute", "train_loss", "lr", "rounds", "eval_held"]
-        assert [int(r[0]) for r in rows] == trace.steps().tolist()
+        assert [int(r[0]) for r in rows] == [r.step for r in trace.records]
         assert [float(r[2]) for r in rows] == trace.train_losses().tolist()
         assert [int(r[4]) for r in rows] == [r.rounds for r in trace.records]
         evals = [(float(r[1]), float(r[5])) for r in rows if r[5] != ""]
@@ -244,13 +254,3 @@ class TestTraces:
         assert back.expected_cost_per_step == trace.expected_cost_per_step
         assert [r.rounds for r in back.records] == [r.rounds for r in trace.records]
         assert back.aborted == trace.aborted
-
-    def test_moving_average(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        got = rl.moving_average(x, 2)
-        np.testing.assert_allclose(got, [1.5, 2.5, 3.5])
-        np.testing.assert_allclose(rl.moving_average(x, 1), x)
-        with pytest.raises(ValueError):
-            rl.moving_average(x, 0)
-        with pytest.raises(ValueError):
-            rl.moving_average(x, 5)
