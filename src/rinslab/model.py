@@ -305,7 +305,7 @@ class RecursiveModel:
             adapted = None
             if adapter is not None and ci == len(exec_seq) - 1:
                 adapted = (adapter, h)
-                h = h @ params[adapter]
+                h = _matmul2d(h, params[adapter])
             layer_records = []
             for l in range(self.layers_per_block):
                 prefix = f"block.{label}.layer.{l}."
@@ -335,7 +335,8 @@ class RecursiveModel:
         xnf, c_final = layernorm_fwd(
             h, params["final_norm.gamma"], params["final_norm.beta"]
         )
-        logits = xnf @ params["head.w"] + params["head.b"]
+        logits = _matmul2d(xnf, params["head.w"])
+        logits += params["head.b"]
         if need_tape:
             tape["final"] = (c_final, xnf)
 
@@ -373,7 +374,7 @@ class RecursiveModel:
         x2 = xnf.reshape(-1, xnf.shape[-1])
         _acc(grads, "head.w", x2.T @ d2)
         _acc(grads, "head.b", d2.sum(axis=0))
-        dxnf = dlogits @ params["head.w"].T
+        dxnf = _matmul2d(dlogits, params["head.w"].T)
         dh, dgam, dbet = layernorm_bwd(dxnf, c_final)
         _acc(grads, "final_norm.gamma", dgam)
         _acc(grads, "final_norm.beta", dbet)
@@ -413,7 +414,7 @@ class RecursiveModel:
                 a2 = a_in.reshape(-1, a_in.shape[-1])
                 dh2 = dh.reshape(-1, dh.shape[-1])
                 _acc(grads, a_name, a2.T @ dh2)
-                dh = dh @ params[a_name].T
+                dh = _matmul2d(dh, params[a_name].T)
 
         dtok, dpos_rows, T = embed_bwd(dh, tape["emb"])
         _acc(grads, "embed.token", dtok)
@@ -431,6 +432,11 @@ def _as_batched(tokens, targets):
         tokens = tokens[None, :]
         targets = targets[None, :]
     return tokens, targets, squeeze
+
+
+def _matmul2d(x, w):
+    """x @ w for a (..., k) x, run as one GEMM on the (N, k) view."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
 
 
 def _acc(grads: dict, name: str, g: np.ndarray):

@@ -114,7 +114,8 @@ def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+        flat = np.asarray(g, dtype=np.float64).ravel()
+        total += float(np.dot(flat, flat))
     return math.sqrt(total)
 
 
@@ -128,21 +129,24 @@ def adam_step(
     """One update, in place. Returns the pre-clip global gradient norm.
 
     step is 1-based (it doubles as Adam's bias-correction counter) and sets
-    the learning rate, lr_at(cfg, step). The whole
-    gradient dict is clipped jointly to grad_clip_norm before the moment
-    update. Any non-finite gradient aborts the step before touching params
-    or state.
+    the learning rate, lr_at(cfg, step). The whole gradient dict is clipped
+    jointly to grad_clip_norm before the moment update; the clip scale is
+    folded into the moment coefficients. The norm is a float64 dot per
+    tensor. Only when it is not finite are the tensors scanned for NaN or
+    inf, and the first non-finite one aborts the step with
+    NonFiniteGradientError before params or state are touched.
     """
     if set(params) != set(grads):
         missing = set(params) ^ set(grads)
         raise ValueError(f"params/grads key mismatch: {sorted(missing)[:4]}")
     if set(params) != set(state.m):
         raise ValueError("optimizer state does not match params")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(name, step)
-
     norm = global_grad_norm(grads)
+    if not math.isfinite(norm):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NonFiniteGradientError(name, step)
+
     scale = 1.0
     if cfg.grad_clip_norm > 0 and norm > cfg.grad_clip_norm:
         scale = cfg.grad_clip_norm / norm
@@ -150,20 +154,32 @@ def adam_step(
     lr = lr_at(cfg, step)
     state.t = step
     bc1 = 1.0 - cfg.beta1 ** step
-    bc2 = 1.0 - cfg.beta2 ** step
+    rbc2 = math.sqrt(1.0 - cfg.beta2 ** step)
+    # m += (1 - b1) scale g and v += (sqrt(1 - b2) scale g)^2, squared after
+    # scaling so a huge clipped gradient cannot overflow; then
+    # lr mhat / (sqrt(vhat) + eps) = (lr rbc2 / bc1) m / (sqrt(v) + eps rbc2).
+    c1 = (1.0 - cfg.beta1) * scale
+    c2 = math.sqrt(1.0 - cfg.beta2) * scale
+    eps = cfg.adam_eps * rbc2
+    step_size = lr * rbc2 / bc1
+    keep = 1.0 - lr * cfg.weight_decay
     for name, p in params.items():
-        g = grads[name] if scale == 1.0 else grads[name] * scale
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        buf = np.multiply(g, c1, dtype=m.dtype)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += buf
+        np.multiply(g, c2, out=buf)
+        np.square(buf, out=buf)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        mhat = m / bc1
-        vhat = v / bc2
-        upd = lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+        v += buf
+        np.sqrt(v, out=buf)
+        buf += eps
+        np.divide(m, buf, out=buf)
+        buf *= step_size
         if cfg.weight_decay > 0:
-            # Decoupled decay, computed from the pre-update parameter.
-            upd = upd + (lr * cfg.weight_decay) * p
-        p -= upd.astype(p.dtype, copy=False)
+            # Decoupled decay, from the pre-update parameter.
+            p *= keep
+        p -= buf
     return norm

@@ -120,7 +120,8 @@ def train(
     round count. With checkpoint_path, a checkpoint is written at the same
     cadence and at the end; it carries everything resume needs, so a run
     resumed from that path continues from the stored step with identical
-    arithmetic.
+    arithmetic. After an abort the final checkpoint is the state after the
+    last completed step, since the aborted step updated nothing.
     """
     if not batches:
         raise ValueError("no training batches")
@@ -191,6 +192,9 @@ def train(
 
     step = start_step
     for step in range(start_step + 1, cfg.total_steps + 1):
+        # An aborted step never updates params or Adam state; the final
+        # checkpoint then restores these to describe the step before it.
+        before = (cum_compute, initial_loss, batch_cursor, rounds_rng.bit_generator.state)
         if batch_cursor >= n_batches:
             batch_cursor = 0
             if not wrapped:
@@ -250,6 +254,9 @@ def train(
         if step % cfg.eval_interval == 0 and step < cfg.total_steps:
             save(step)  # the last step is saved below
 
+    if trace.aborted:
+        cum_compute, initial_loss, batch_cursor, rounds_rng.bit_generator.state = before
+        step -= 1
     save(step)
     return trace, adam
 

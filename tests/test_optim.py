@@ -82,12 +82,22 @@ class TestAdamStep:
         assert rl.global_grad_norm(g) == pytest.approx(5.0)
 
     def test_nonfinite_grad_raises_with_name(self):
-        p = {"ok": np.array([1.0]), "bad": np.array([1.0])}
-        g = {"ok": np.array([0.1]), "bad": np.array([np.nan])}
-        state = rl.init_adam_state(p)
-        with pytest.raises(rl.NonFiniteGradientError) as ei:
-            rl.adam_step(p, g, state, mkcfg(), step=1)
-        assert "bad" in str(ei.value)
+        for value in (np.nan, np.inf, -np.inf):
+            p = {"ok": np.array([1.0, 2.0]), "bad": np.array([1.0, 3.0]),
+                 "late": np.array([4.0])}
+            state = rl.init_adam_state(p)
+            rl.adam_step(p, {k: np.full_like(v, 0.3) for k, v in p.items()}, state,
+                         mkcfg(weight_decay=0.01), step=1)
+            before = [{k: v.copy() for k, v in d.items()} for d in (p, state.m, state.v)]
+            g = {"ok": np.array([0.1, 0.2]), "bad": np.array([0.1, value]),
+                 "late": np.array([value])}
+            with pytest.raises(rl.NonFiniteGradientError) as ei:
+                rl.adam_step(p, g, state, mkcfg(weight_decay=0.01), step=2)
+            assert ei.value.name == "bad" and "bad" in str(ei.value)  # the first bad one
+            assert state.t == 1
+            for old, now in zip(before, (p, state.m, state.v)):
+                for k in old:
+                    assert np.array_equal(old[k], now[k]), (value, k)
 
     def test_key_mismatch_rejected(self):
         p = {"a": np.array([1.0])}

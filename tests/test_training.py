@@ -198,6 +198,50 @@ class TestResume:
         for k in params:
             assert np.array_equal(params[k], params3[k]), k
 
+    @pytest.mark.parametrize("abort", ["divergence", "floating-point"])
+    def test_checkpoint_after_abort_is_last_completed_step(self, tmp_path, monkeypatch, abort):
+        # The aborted step never updates params or Adam state, so the final
+        # checkpoint must describe the step before it, and resuming from it
+        # must replay the uninterrupted run's rows from there on.
+        if abort == "divergence":
+            kw = dict(signature="AB", total_steps=6, warmup=0, peak_lr=5.0,
+                      grad_clip_norm=0.0)
+        else:
+            kw = dict(signature="AAB", p_skip=0.5, seed=5, total_steps=8,
+                      eval_interval=2)
+        model, params, batches, cfg = tiny_setup(**kw)
+        full, _ = rl.train(model, params, batches, cfg)
+
+        model2, params2, _, cfg2 = tiny_setup(**kw)
+        if abort == "floating-point":
+            real, calls = model2.loss_and_grads, []
+
+            def flaky(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 5:
+                    raise FloatingPointError("injected")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(model2, "loss_and_grads", flaky)
+        ckpt = tmp_path / "c.rlab"
+        cut, adam = rl.train(model2, params2, batches, cfg2, checkpoint_path=ckpt)
+        assert cut.aborted
+        completed = 1 if abort == "divergence" else 4
+        data = rl.load_checkpoint(ckpt)
+        assert data.step == adam.t == completed
+        assert [r.step for r in cut.records if r.step <= completed][-1] == completed
+        for k in params2:
+            assert np.array_equal(data.params[k], params2[k]), k
+            assert np.array_equal(data.adam_m[k], adam.m[k]), k
+
+        model3, params3, _, cfg3 = tiny_setup(**kw)
+        tail, _ = rl.train(model3, params3, batches, cfg3, resume_from=str(ckpt))
+        want = [r for r in full.records if r.step > completed]
+        assert [dataclasses.astuple(r) for r in tail.records] == [
+            dataclasses.astuple(r) for r in want
+        ]
+        assert tail.aborted == full.aborted
+
     def test_cursor_wraps_cyclically(self):
         model, params, batches, cfg = tiny_setup(total_steps=7)
         trace, _ = rl.train(model, params, batches[:3], cfg)
