@@ -79,6 +79,7 @@ from .evals import (
     render_parts,
     score_option,
     eval_mcq,
+    eval_mcq_depths,
     held_out_log_perplexity,
     read_task_jsonl,
     write_task_jsonl,
@@ -117,8 +118,8 @@ __all__ = [
     "optimal_r", "write_fits_json", "write_breakpoints_csv",
     "TemplateError", "ContextOverflowError", "MCQItem", "EvalResult",
     "render_template", "render_parts", "score_option", "eval_mcq",
-    "held_out_log_perplexity", "read_task_jsonl", "write_task_jsonl",
-    "write_results_jsonl",
+    "eval_mcq_depths", "held_out_log_perplexity", "read_task_jsonl",
+    "write_task_jsonl", "write_results_jsonl",
     "CheckpointData", "save_checkpoint", "load_checkpoint",
     "ConfigError", "RunSpec", "parse_run_config", "config_hash",
     "cmd_run", "cmd_sweep", "cmd_fit", "cmd_report", "cmd_eval",

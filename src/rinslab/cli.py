@@ -112,7 +112,7 @@ def main(argv=None) -> int:
                     print(f"  {k}: {v}")
         elif args.command == "eval":
             rounds_list = None
-            if args.rounds:
+            if args.rounds is not None:
                 try:
                     rounds_list = [int(x) for x in args.rounds.split(",") if x.strip()]
                 except ValueError:

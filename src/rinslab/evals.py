@@ -28,6 +28,7 @@ __all__ = [
     "score_option",
     "EvalResult",
     "eval_mcq",
+    "eval_mcq_depths",
     "held_out_log_perplexity",
     "read_task_jsonl",
     "write_task_jsonl",
@@ -134,27 +135,62 @@ def score_option(
     scores the whole rendered sequence instead (from position 1). A rendered
     sequence longer than seq_len raises, naming the item.
     """
-    cond, opt = render_parts(item.style, item, option_index)
-    cond_ids = tokenizer.encode(cond)
-    opt_ids = tokenizer.encode(opt)
-    ids = cond_ids + opt_ids
-    if len(ids) > model.dims.seq_len:
-        raise ContextOverflowError(item.describe(), len(ids), model.dims.seq_len)
-    if len(opt_ids) == 0:
-        raise TemplateError(f"empty option {option_index} in item {item.describe()}")
-    tokens = np.asarray(ids, dtype=np.int64)
-    logits = model.forward(params, tokens, rounds=rounds)
-    # logits[t] predicts ids[t+1]; position 0 is never predicted.
-    start = 1 if score_full else max(len(cond_ids), 1)
-    if start >= len(ids):
-        raise TemplateError(
-            f"nothing to score for option {option_index} in item {item.describe()}"
+    return _score_item(
+        model, params, tokenizer, item, [option_index], [rounds], score_full
+    )[0][0]
+
+
+def _score_item(model, params, tokenizer, item, option_indices, depths, score_full):
+    """scores[d][j]: score_option's value for option_indices[j] at depths[d],
+    from one executor call.
+
+    The conditioning text does not depend on the option, so the item is
+    packed as cond + opt_1 + ... + opt_n with each option's positions
+    restarting at len(cond), and each option token attending to the
+    context and its own option only. Identical options are packed once. An
+    option that cannot be scored raises before anything runs, in index
+    order, exactly as scoring it alone would.
+    """
+    seq_len = model.dims.seq_len
+    packed: dict[tuple, int] = {}  # option ids -> slot in the pack
+    slots = []
+    for i in option_indices:
+        cond, opt = render_parts(item.style, item, i)
+        cond_ids, opt_ids = tokenizer.encode(cond), tokenizer.encode(opt)
+        n = len(cond_ids) + len(opt_ids)
+        if n > seq_len:
+            raise ContextOverflowError(item.describe(), n, seq_len)
+        if len(opt_ids) == 0:
+            raise TemplateError(f"empty option {i} in item {item.describe()}")
+        # logits[t] predicts ids[t+1]; position 0 is never predicted.
+        start = 1 if score_full else max(len(cond_ids), 1)
+        if start >= n:
+            raise TemplateError(
+                f"nothing to score for option {i} in item {item.describe()}"
+            )
+        slots.append(packed.setdefault(tuple(opt_ids), len(packed)))
+    C = len(cond_ids)
+    opts = list(packed)
+    tokens = np.asarray(cond_ids + [t for o in opts for t in o], dtype=np.int64)
+    seg = np.repeat(np.arange(len(opts) + 1), [C] + [len(o) for o in opts])
+    allow = positions = None
+    if len(opts) > 1:
+        allow = (seg[:, None] == seg[None, :]) | (seg == 0)[None, :]
+        positions = np.concatenate(
+            [np.arange(C)] + [np.arange(C, C + len(o)) for o in opts]
         )
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    picked = logp[np.arange(start - 1, len(ids) - 1), tokens[start:]]
-    return float(-picked.mean())
+    gathers = []  # per packed option: rows predicting its scored tokens, tokens
+    for j in range(1, len(opts) + 1):
+        rows = np.flatnonzero((seg == 0) | (seg == j))  # its cond + option
+        gathers.append((rows[start - 1:-1], tokens[rows[start:]]))
+    scores = []
+    for logits in model.forward_depths(params, tokens, depths, allow, positions):
+        m = logits.max(axis=-1, keepdims=True)
+        z = logits - m
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        per_opt = [float(-logp[rows, ids].mean()) for rows, ids in gathers]
+        scores.append([per_opt[s] for s in slots])
+    return scores
 
 
 @dataclass
@@ -175,27 +211,46 @@ def eval_mcq(
 ) -> EvalResult:
     """Score every option of every item; lowest score wins, ties to the
     lowest option index."""
+    return eval_mcq_depths(model, params, tokenizer, items, [rounds], score_full)[0]
+
+
+def eval_mcq_depths(
+    model: RecursiveModel,
+    params: dict,
+    tokenizer: ByteTokenizer,
+    items: Sequence[MCQItem],
+    depths: Sequence[Optional[int]],
+    score_full: bool = False,
+) -> list[EvalResult]:
+    """eval_mcq at every round count in depths, one EvalResult each.
+
+    Each item takes one forward pass for all of its options and depths (see
+    RecursiveModel.forward_depths); scores match per-option score_option
+    to rounding.
+    """
     if not items:
         raise ValueError("no items to evaluate")
-    preds = []
-    all_scores = []
-    correct = 0
+    per_depth = [[] for _ in depths]
     for item in items:
-        scores = [
-            score_option(model, params, tokenizer, item, i, rounds, score_full)
-            for i in range(len(item.options))
-        ]
-        pred = int(np.argmin(scores))
-        preds.append(pred)
-        all_scores.append(scores)
-        if pred == item.gold_index:
-            correct += 1
-    return EvalResult(
-        accuracy=correct / len(items),
-        n_items=len(items),
-        predictions=preds,
-        scores=all_scores,
-    )
+        scores = _score_item(
+            model, params, tokenizer, item, range(len(item.options)), depths,
+            score_full,
+        )
+        for scored, s in zip(per_depth, scores):
+            scored.append(s)
+    results = []
+    for all_scores in per_depth:
+        preds = [int(np.argmin(s)) for s in all_scores]
+        correct = sum(p == item.gold_index for p, item in zip(preds, items))
+        results.append(
+            EvalResult(
+                accuracy=correct / len(items),
+                n_items=len(items),
+                predictions=preds,
+                scores=all_scores,
+            )
+        )
+    return results
 
 
 def held_out_log_perplexity(

@@ -709,9 +709,13 @@ def cmd_eval(
     out_path=None,
     score_full: bool = False,
 ) -> list[dict]:
-    """Zero-shot MCQ accuracy of a checkpoint, per requested round count."""
+    """Zero-shot MCQ accuracy of a checkpoint, per requested round count.
+
+    Every round count is checked against the checkpoint before any item is
+    scored; each item then takes one forward pass for all of them.
+    """
     from .corpus import ByteTokenizer
-    from .evals import eval_mcq, read_task_jsonl, write_results_jsonl
+    from .evals import eval_mcq_depths, read_task_jsonl, write_results_jsonl
 
     ckpt_path = Path(checkpoint_path)
     if not ckpt_path.exists():
@@ -731,20 +735,27 @@ def cmd_eval(
             f"checkpoint vocab {ckpt.dims.vocab} cannot score byte-tokenized "
             f"text (needs >= {tok.vocab_size})"
         )
-    items = read_task_jsonl(tasks_path)
     if rounds_list is None:
         rounds_list = [model.resolve_rounds(None)]  # model default
-    rows = []
+    if not rounds_list:
+        raise ConfigError("--rounds: no round count given")
     for r in rounds_list:
-        result = eval_mcq(model, ckpt.params, tok, items, rounds=r, score_full=score_full)
-        rows.append(
-            {
-                "task": tasks_path.stem,
-                "rounds": r,
-                "accuracy": result.accuracy,
-                "n_items": result.n_items,
-            }
-        )
+        try:
+            model.resolve_rounds(r)
+        except ValueError as e:
+            raise ConfigError(f"--rounds for {ckpt.signature}: {e}") from e
+    items = read_task_jsonl(tasks_path)
+    results = eval_mcq_depths(model, ckpt.params, tok, items, rounds_list,
+                              score_full=score_full)
+    rows = [
+        {
+            "task": tasks_path.stem,
+            "rounds": r,
+            "accuracy": result.accuracy,
+            "n_items": result.n_items,
+        }
+        for r, result in zip(rounds_list, results)
+    ]
     if out_path is not None:
         write_results_jsonl(out_path, rows)
     return rows

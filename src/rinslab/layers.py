@@ -104,10 +104,12 @@ def layernorm_bwd(dy, cache):
     return dx.reshape(dy.shape), dgamma, dbeta
 
 
-def embed_fwd(tokens, tok_table, pos_table):
+def embed_fwd(tokens, tok_table, pos_table, *, positions=None):
     # tokens: (B, T) int. Position table rows beyond T are simply unused.
+    # positions, when given, are the (T,) rows to read instead of 0..T-1.
     T = tokens.shape[-1]
-    h = tok_table[tokens] + pos_table[:T]
+    pos = pos_table[:T] if positions is None else pos_table[positions]
+    h = tok_table[tokens] + pos
     return h, (tokens, tok_table.shape, T)
 
 
@@ -254,21 +256,23 @@ def mlp_bwd(dout, cache, p, prefix):
 
 
 def softmax_xent_fwd(logits, targets):
-    """Mean token-level cross entropy in nats. targets: (B, T) int."""
+    """Mean token-level cross entropy in nats. targets: int, shaped like the
+    leading axes of logits."""
     m = logits.max(axis=-1, keepdims=True)
     z = logits - m
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
-    B, T = targets.shape
-    picked = logp[np.arange(B)[:, None], np.arange(T)[None, :], targets]
+    targets = np.asarray(targets)
+    rows = logp.reshape(-1, logp.shape[-1])
+    picked = rows[np.arange(len(rows)), targets.reshape(-1)]
     loss = float(-picked.mean())
     return loss, (np.exp(logp), targets)
 
 
 def softmax_xent_bwd(cache):
     probs, targets = cache
-    B, T = targets.shape
     d = probs.copy()
-    d[np.arange(B)[:, None], np.arange(T)[None, :], targets] -= 1.0
-    d /= B * T
+    rows = d.reshape(-1, d.shape[-1])
+    rows[np.arange(len(rows)), targets.reshape(-1)] -= 1.0
+    d /= len(rows)
     return d

@@ -21,6 +21,10 @@ r_max = 1 and always run in full. Three optional mechanisms layer on top:
 Adapters and KV sharing need an A^r B signature. Gradients for a shared
 block are the sum of the per-call gradients; the backward pass realizes this
 by plain accumulation into one dict keyed by parameter name.
+
+One executor serves every entry point. It takes a list of round counts:
+training and forward() pass one, forward_depths() several, and then each
+distinct prefix of leaf calls runs once for all of them.
 """
 
 from __future__ import annotations
@@ -243,16 +247,38 @@ class RecursiveModel:
         ]
 
     def forward(self, params, tokens, rounds=None, segments=None):
-        logits, _, _ = self._run(params, tokens, rounds, segments, need_tape=False)
+        (logits,), _, _ = self._run(
+            params, tokens, [rounds], _mask(segments), need_tape=False
+        )
         return logits
 
     def forward_with_info(self, params, tokens, rounds=None, segments=None):
-        logits, _, info = self._run(params, tokens, rounds, segments, need_tape=False)
+        (logits,), _, (info,) = self._run(
+            params, tokens, [rounds], _mask(segments), need_tape=False
+        )
         return logits, info
 
+    def forward_depths(self, params, tokens, depths, allow=None, positions=None):
+        """Logits at every round count in depths, from one executor pass.
+
+        Entry i equals forward(params, tokens, rounds=depths[i]) bitwise when
+        allow and positions are None: each distinct prefix of leaf calls runs
+        once and every depth branches off the longest prefix it shares, so
+        A^r B at depths 1..r runs r calls of A and r of B instead of
+        r(r+1)/2 and r. allow is a (T, T) or (B, 1, T, T) boolean ANDed with
+        the causal mask. positions, when given, are the (T,) position-table
+        rows the tokens read instead of 0..T-1; then the largest position,
+        not T, must fit in seq_len. A repeated depth gets the same array.
+        """
+        logits, _, _ = self._run(
+            params, tokens, depths, allow, need_tape=False, positions=positions
+        )
+        return logits
+
     def loss(self, params, tokens, targets, rounds=None, segments=None) -> float:
-        tokens, targets, squeeze = _as_batched(tokens, targets)
-        logits, _, _ = self._run(params, tokens, rounds, segments, need_tape=False)
+        (logits,), _, _ = self._run(
+            params, tokens, [rounds], _mask(segments), need_tape=False
+        )
         loss, _ = softmax_xent_fwd(logits, targets)
         return loss
 
@@ -263,8 +289,9 @@ class RecursiveModel:
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
         """
-        tokens, targets, _ = _as_batched(tokens, targets)
-        logits, tape, info = self._run(params, tokens, rounds, segments, need_tape=True)
+        (logits,), tape, (info,) = self._run(
+            params, tokens, [rounds], _mask(segments), need_tape=True
+        )
         loss, xc = softmax_xent_fwd(logits, targets)
         grads = self._backward(params, tape, softmax_xent_bwd(xc))
         for name, p in params.items():
@@ -278,77 +305,103 @@ class RecursiveModel:
 
     # -------------------------------------------------------------- internals
 
-    def _run(self, params, tokens, rounds, segments, need_tape):
+    def _run(self, params, tokens, depths, mask, need_tape, positions=None):
+        """Logits, tape and info per entry of depths (a list of round counts).
+
+        Logits keep the leading shape of tokens, so 1-D tokens give (T, V).
+        The tape exists only for a single depth. With several depths, the
+        state after each prefix of leaf calls is kept, keyed by its leaf
+        ids, and each depth resumes from the longest prefix already run.
+        Adapter k maps the state entering depth k's last call, so that call
+        is never shared. KV sharing state is copied on write, so a call on
+        one branch never feeds another.
+        """
         tokens = np.asarray(tokens)
-        squeeze = tokens.ndim == 1
-        if squeeze:
-            tokens = tokens[None, :]
-        B, T = tokens.shape
-        if T > self.dims.seq_len:
-            raise ValueError(f"sequence length {T} exceeds seq_len {self.dims.seq_len}")
-        rounds = self.resolve_rounds(rounds)
-        exec_seq = self.leaf_exec(rounds)
-        adapter = f"adapter.{rounds}" if self.policy.adapters else None
-        mask = segments_to_mask(segments) if segments is not None else None
-
-        h, emb_cache = embed_fwd(tokens, params["embed.token"], params["embed.pos"])
+        batched = tokens[None, :] if tokens.ndim == 1 else tokens
+        T = batched.shape[1]
+        span = T if positions is None else int(np.max(positions)) + 1
+        if span > self.dims.seq_len:
+            raise ValueError(
+                f"sequence length {span} exceeds seq_len {self.dims.seq_len}"
+            )
+        depths = [self.resolve_rounds(k) for k in depths]
+        h, emb_cache = embed_fwd(
+            batched, params["embed.token"], params["embed.pos"], positions=positions
+        )
+        tape = {"emb": emb_cache, "calls": []} if need_tape else None
         share = self.policy.kv_share
-        first_kv: dict[tuple[int, int], tuple] = {}  # (leaf, layer) -> (k, v)
-        tape = {"emb": emb_cache, "calls": [], "T": T} if need_tape else None
-        seen: set[int] = set()
-
-        for ci, leaf in enumerate(exec_seq):
-            label = self._labels[leaf]
-            consume = share and leaf in seen
-            produce = share and not consume
-            seen.add(leaf)
-            adapted = None
-            if adapter is not None and ci == len(exec_seq) - 1:
-                adapted = (adapter, h)
-                h = _matmul2d(h, params[adapter])
-            layer_records = []
-            for l in range(self.layers_per_block):
-                prefix = f"block.{label}.layer.{l}."
-                xn1, c_ln1 = layernorm_fwd(
-                    h, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"]
-                )
-                kv_in = first_kv[(leaf, l)] if consume else None
-                attn_out, kv, c_attn = attention_fwd(
-                    xn1, params, prefix + "attn.", self.dims.n_heads, kv_in, mask
-                )
+        keep = len(set(depths)) > 1
+        # leaf-id prefix -> (h, first_kv); first_kv maps (leaf, layer) to the
+        # (k, v) of that leaf's first call
+        states = {(): (h, {})}
+        logits, infos = {}, {}
+        for k in sorted(set(depths)):
+            seq = self.leaf_exec(k)
+            adapter = f"adapter.{k}" if self.policy.adapters else None
+            shared = len(seq) - (adapter is not None)  # calls before any adapter
+            n = shared
+            while tuple(seq[:n]) not in states:
+                n -= 1
+            h, first_kv = states[tuple(seq[:n])]
+            if not keep:
+                states.clear()  # one depth holds no state but the running one
+            for ci in range(n, len(seq)):
+                leaf = seq[ci]
+                label = self._labels[leaf]
+                consume = share and (leaf, 0) in first_kv
+                produce = share and not consume
                 if produce:
-                    first_kv[(leaf, l)] = kv
-                h = h + attn_out
-                xn2, c_ln2 = layernorm_fwd(
-                    h, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"]
-                )
-                mlp_out, c_mlp = mlp_fwd(xn2, params, prefix + "mlp.")
-                h = h + mlp_out
+                    first_kv = dict(first_kv)  # copy on write: kept states never change
+                adapted = None
+                if ci == shared:
+                    adapted = (adapter, h)
+                    h = _matmul2d(h, params[adapter])
+                layer_records = []
+                for l in range(self.layers_per_block):
+                    prefix = f"block.{label}.layer.{l}."
+                    xn1, c_ln1 = layernorm_fwd(
+                        h, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"]
+                    )
+                    kv_in = first_kv[(leaf, l)] if consume else None
+                    attn_out, kv, c_attn = attention_fwd(
+                        xn1, params, prefix + "attn.", self.dims.n_heads, kv_in, mask
+                    )
+                    if produce:
+                        first_kv[(leaf, l)] = kv
+                    h = h + attn_out
+                    xn2, c_ln2 = layernorm_fwd(
+                        h, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"]
+                    )
+                    mlp_out, c_mlp = mlp_fwd(xn2, params, prefix + "mlp.")
+                    h = h + mlp_out
+                    if need_tape:
+                        layer_records.append((prefix, c_ln1, c_attn, c_ln2, c_mlp))
                 if need_tape:
-                    layer_records.append((prefix, c_ln1, c_attn, c_ln2, c_mlp))
-            if need_tape:
-                tape["calls"].append(
-                    {"leaf": leaf, "produced": produce, "layers": layer_records,
-                     "adapter": adapted}
-                )
+                    tape["calls"].append(
+                        {"leaf": leaf, "produced": produce, "layers": layer_records,
+                         "adapter": adapted}
+                    )
+                if keep and ci < shared:
+                    states[tuple(seq[:ci + 1])] = (h, first_kv)
+            out = self._head(params, h, tape)
+            logits[k] = out[0] if tokens.ndim == 1 else out
+            infos[k] = {
+                "exec": seq,
+                "rounds": k,
+                "adapter": adapter,
+                "kv_cache_bytes": self._kv_bytes(seq, T),
+            }
+        return [logits[k] for k in depths], tape, [infos[k] for k in depths]
 
+    def _head(self, params, h, tape):
         xnf, c_final = layernorm_fwd(
             h, params["final_norm.gamma"], params["final_norm.beta"]
         )
         logits = _matmul2d(xnf, params["head.w"])
         logits += params["head.b"]
-        if need_tape:
+        if tape is not None:
             tape["final"] = (c_final, xnf)
-
-        info = {
-            "exec": exec_seq,
-            "rounds": rounds,
-            "adapter": adapter,
-            "kv_cache_bytes": self._kv_bytes(exec_seq, T),
-        }
-        if squeeze:
-            logits = logits[0]
-        return logits, tape, info
+        return logits
 
     def _kv_bytes(self, exec_seq: list[int], T: int) -> int:
         """Bytes per sequence of the per-layer (k, v) pairs at length T held by
@@ -369,6 +422,7 @@ class RecursiveModel:
     def _backward(self, params, tape, dlogits):
         grads: dict[str, np.ndarray] = {}
         c_final, xnf = tape["final"]
+        dlogits = dlogits.reshape(xnf.shape[:-1] + dlogits.shape[-1:])  # 1-D tokens
 
         d2 = dlogits.reshape(-1, dlogits.shape[-1])
         x2 = xnf.reshape(-1, xnf.shape[-1])
@@ -424,14 +478,8 @@ class RecursiveModel:
         return grads
 
 
-def _as_batched(tokens, targets):
-    tokens = np.asarray(tokens)
-    targets = np.asarray(targets)
-    squeeze = tokens.ndim == 1
-    if squeeze:
-        tokens = tokens[None, :]
-        targets = targets[None, :]
-    return tokens, targets, squeeze
+def _mask(segments):
+    return None if segments is None else segments_to_mask(segments)
 
 
 def _matmul2d(x, w):

@@ -517,6 +517,20 @@ class TestCmdEval:
         with pytest.raises(rl.ConfigError, match="vocab"):
             rl.cmd_eval(ckpt, tasks)
 
+    @pytest.mark.parametrize("rounds", [[1, 2], [0], [], [2, 1]])
+    def test_eval_rejects_bad_rounds_before_scoring(self, byte_checkpoint, rounds,
+                                                    monkeypatch):
+        import rinslab.evals
+
+        def never(*args, **kwargs):
+            raise AssertionError("scored before the rounds were checked")
+
+        monkeypatch.setattr(rinslab.evals, "_score_item", never)
+        ckpt, tasks = byte_checkpoint
+        bad = [r for r in rounds if r != 1]
+        with pytest.raises(rl.ConfigError, match=str(bad[0]) if bad else "rounds"):
+            rl.cmd_eval(ckpt, tasks, rounds_list=rounds)
+
 
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, monkeypatch):
@@ -558,6 +572,20 @@ class TestMainExitCodes:
         ]
         assert cli.main(argv) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("rounds,named", [("1,5", "5"), (",", "rounds"),
+                                              ("", "rounds")])
+    def test_eval_bad_rounds_is_2(self, byte_checkpoint, tmp_path, capsys, rounds,
+                                  named):
+        ckpt, tasks = byte_checkpoint
+        out = tmp_path / "r.jsonl"
+        argv = ["eval", "--checkpoint", str(ckpt), "--tasks", str(tasks),
+                "--rounds", rounds, "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_sweep_ok(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINSLAB_OUT_ROOT", str(tmp_path / "runs"))

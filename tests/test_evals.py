@@ -126,6 +126,103 @@ class TestScoring:
         assert s_opt != s_full
 
 
+def _packing_model(dtype, text="AB", kv_share=False, adapters=False, seq_len=96):
+    dims = rl.ModelDims(
+        d_model=16, n_heads=2, mlp_dim=32, vocab=257, seq_len=seq_len, total_layers=4
+    )
+    r = rl.rins_rounds(rl.parse(text))
+    pol = rl.RecursionPolicy(r_max=r, kv_share=kv_share, adapters=adapters)
+    m = rl.RecursiveModel(dims, rl.expand(rl.parse(text)), pol, dtype=dtype)
+    p = m.init_params(2)
+    rng = np.random.default_rng(7)
+    for name in p:
+        if name.startswith("adapter."):
+            p[name] = p[name] + rng.normal(0.0, 0.2, size=p[name].shape).astype(dtype)
+    # a non-flat head so options score apart
+    p["head.w"] = rng.normal(0.0, 1.0, size=p["head.w"].shape).astype(dtype)
+    return m, p, rl.ByteTokenizer()
+
+
+PACKING_ITEMS = [
+    rl.MCQItem("The lake froze.", "did the lake freeze?", ("no", "yes"), 1,
+               style="boolq"),
+    rl.MCQItem("Deep clean coffee grinder.", "",
+               ("Scrape with rice.", "Scrape with flour.", "Rinse"), 0, style="piqa"),
+    rl.MCQItem("the cat sat on the", "", ("mat", "moon", "map", "mop"), 0),
+    rl.MCQItem("", "", ("blue sky", "green", "red wine"), 2),  # empty context
+]
+
+
+class TestPackedScoring:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("score_full", [False, True])
+    @pytest.mark.parametrize(
+        "text,kv_share,adapters", [("AB", False, False), ("A^3B", True, True),
+                                   ("A^2B", False, True)],
+    )
+    def test_matches_per_option_scores(self, dtype, tol, score_full, text, kv_share,
+                                       adapters):
+        m, p, tok = _packing_model(dtype, text, kv_share, adapters)
+        depths = list(range(1, m.policy.r_max + 1))
+        results = rl.eval_mcq_depths(m, p, tok, PACKING_ITEMS, depths, score_full)
+        assert len(results) == len(depths)
+        for k, res in zip(depths, results):
+            for item, scores in zip(PACKING_ITEMS, res.scores):
+                want = [rl.score_option(m, p, tok, item, i, k, score_full)
+                        for i in range(len(item.options))]
+                np.testing.assert_allclose(scores, want, rtol=0, atol=tol)
+            assert res.predictions == [int(np.argmin(s)) for s in res.scores]
+
+    def test_each_depth_equals_eval_mcq(self):
+        m, p, tok = _packing_model(np.float64, "A^3B", True, True)
+        results = rl.eval_mcq_depths(m, p, tok, PACKING_ITEMS, [3, 1, 2, 3])
+        for k, res in zip([3, 1, 2, 3], results):
+            assert res == rl.eval_mcq(m, p, tok, PACKING_ITEMS, rounds=k)
+
+    def test_packed_length_beyond_seq_len_still_scores(self):
+        m, p, tok = _packing_model(np.float64, seq_len=48)
+        item = rl.MCQItem("x" * 30, "", ("a" * 12, "b" * 12, "c" * 12), 1)
+        # each rendered option needs 43 tokens; packed, they need 69
+        res = rl.eval_mcq(m, p, tok, [item])
+        want = [rl.score_option(m, p, tok, item, i) for i in range(3)]
+        np.testing.assert_allclose(res.scores[0], want, rtol=0, atol=1e-10)
+
+    def test_identical_options_tie_to_lower_index(self, monkeypatch):
+        m, p, tok = _packing_model(np.float64)
+        cheap = rl.eval_mcq(m, p, tok, [rl.MCQItem("ctx", "", ("aa", "zz"), 0)])
+        lo, hi = ("aa", "zz") if cheap.predictions[0] == 0 else ("zz", "aa")
+        lengths = []
+        real = m.forward_depths
+
+        def recorded(params, tokens, *args, **kwargs):
+            lengths.append(len(tokens))
+            return real(params, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(m, "forward_depths", recorded)
+        item = rl.MCQItem("ctx", "", (hi, lo, lo), 2)
+        res = rl.eval_mcq(m, p, tok, [item])
+        assert lengths == [len("ctx") + 2 * len(" aa")]  # the duplicate packed once
+        assert res.scores[0][1] == res.scores[0][2]
+        assert res.predictions == [1]
+        assert res.accuracy == 0.0
+
+    def test_errors_raise_per_option_in_order(self):
+        m, p, tok = _packing_model(np.float64, seq_len=24)
+        long_second = rl.MCQItem("context", "", ("ok", "x" * 40, ""), 0)
+        with pytest.raises(rl.ContextOverflowError) as ei:
+            rl.eval_mcq(m, p, tok, [long_second])
+        with pytest.raises(rl.ContextOverflowError) as alone:
+            rl.score_option(m, p, tok, long_second, 1)
+        assert str(ei.value) == str(alone.value)
+        empty_second = rl.MCQItem("context", "", ("ok", "", "x" * 40), 0)
+        with pytest.raises(rl.TemplateError, match="empty option 1"):
+            rl.eval_mcq(m, p, tok, [empty_second])
+        # a one-byte option with no context leaves nothing to score in full mode
+        bare = rl.MCQItem("", "", ("ab", "c"), 0)
+        with pytest.raises(rl.TemplateError, match="nothing to score for option 1"):
+            rl.eval_mcq(m, p, tok, [bare], score_full=True)
+
+
 class TestEvalLoop:
     def test_accuracy_counts_gold_matches(self, byte_model):
         m, p, tok = byte_model

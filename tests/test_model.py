@@ -274,6 +274,85 @@ class TestKVSharing:
         assert np.abs(grads["block.B.layer.0.attn.v"]).max() > 0
 
 
+class TestForwardDepths:
+    @pytest.mark.parametrize("text", ["AB", "A^2B", "A^3B"])
+    @pytest.mark.parametrize("kv_share", [False, True])
+    @pytest.mark.parametrize("adapters", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_each_depth_bitwise_equals_forward(
+        self, tiny_dims, toks, text, kv_share, adapters, dtype, segmented
+    ):
+        t, _ = toks
+        r = rl.rins_rounds(rl.parse(text))
+        pol = rl.RecursionPolicy(r_max=r, kv_share=kv_share, adapters=adapters)
+        m = make_model(tiny_dims, text, policy=pol, dtype=dtype)
+        p = m.init_params(4)
+        rng = np.random.default_rng(1)
+        for name in [n for n in p if n.startswith("adapter.")]:
+            # away from identity, so a wrong adapter would show
+            p[name] = p[name] + rng.normal(0.0, 0.3, size=p[name].shape).astype(dtype)
+        segments = np.array([[0, 0, 1, 1, 1], [0, 1, 1, 2, 2]])
+        allow = rl.segments_to_mask(segments) if segmented else None
+        seg = segments if segmented else None
+        want = {k: m.forward(p, t, rounds=k, segments=seg) for k in range(1, r + 1)}
+        orders = [list(range(1, r + 1)), list(range(r, 0, -1)),
+                  [r, 1, r] + list(range(1, r + 1))]
+        for depths in orders:
+            got = m.forward_depths(p, t, depths, allow=allow)
+            assert len(got) == len(depths)
+            for k, logits in zip(depths, got):
+                assert logits.dtype == want[k].dtype
+                assert np.array_equal(logits, want[k]), (depths, k)
+
+    def test_single_sequence_input(self, tiny_dims):
+        m = make_model(tiny_dims, "A^2B")
+        p = m.init_params(0)
+        t = np.arange(tiny_dims.seq_len) % tiny_dims.vocab
+        got = m.forward_depths(p, t, [1, 2])
+        assert [g.shape for g in got] == [(tiny_dims.seq_len, tiny_dims.vocab)] * 2
+        assert np.array_equal(got[1], m.forward(p, t, rounds=2))
+
+    def test_shared_prefix_runs_once(self, tiny_dims, toks, monkeypatch):
+        import rinslab.model as model_mod
+
+        t, _ = toks
+        m = make_model(tiny_dims, "A^3B")
+        p = m.init_params(0)
+        calls = []
+        real = model_mod.attention_fwd
+
+        def counted(xn, params, prefix, *args):
+            calls.append(prefix.split(".")[1])
+            return real(xn, params, prefix, *args)
+
+        monkeypatch.setattr(model_mod, "attention_fwd", counted)
+        m.forward_depths(p, t, [1, 2, 3])
+        # A, AA, AAA run once each; B runs after each of them.
+        per_call = m.layers_per_block
+        assert calls.count("A") == 3 * per_call
+        assert calls.count("B") == 3 * per_call
+        calls.clear()
+        for k in (1, 2, 3):
+            m.forward(p, t, rounds=k)
+        assert len(calls) == 9 * per_call
+
+    def test_positions_bound_by_seq_len_not_length(self, tiny_dims):
+        m = make_model(tiny_dims, "AB")
+        p = m.init_params(0)
+        S = tiny_dims.seq_len
+        t = np.arange(S + 2) % tiny_dims.vocab
+        positions = np.concatenate([np.arange(S), np.arange(S - 2, S)])
+        (logits,) = m.forward_depths(p, t, [1], positions=positions)
+        assert logits.shape == (S + 2, tiny_dims.vocab)
+        # the first S rows read positions 0..S-1, as forward does
+        np.testing.assert_allclose(logits[:S], m.forward(p, t[:S]), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="seq_len"):
+            m.forward_depths(p, t, [1], positions=np.arange(S + 2))
+        with pytest.raises(ValueError, match="seq_len"):
+            m.forward_depths(p, t, [1])
+
+
 class TestModelGradients:
     @pytest.mark.parametrize("kv_share", [False, True])
     @pytest.mark.parametrize("adapters", [False, True])
