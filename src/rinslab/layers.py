@@ -266,12 +266,14 @@ def softmax_xent_fwd(logits, targets):
     rows = logp.reshape(-1, logp.shape[-1])
     picked = rows[np.arange(len(rows)), targets.reshape(-1)]
     loss = float(-picked.mean())
-    return loss, (np.exp(logp), targets)
+    # The cache keeps log-probabilities; the backward exponentiates them, so
+    # a forward-only loss never pays for the probabilities.
+    return loss, (logp, targets)
 
 
 def softmax_xent_bwd(cache):
-    probs, targets = cache
-    d = probs.copy()
+    logp, targets = cache
+    d = np.exp(logp)
     rows = d.reshape(-1, d.shape[-1])
     rows[np.arange(len(rows)), targets.reshape(-1)] -= 1.0
     d /= len(rows)

@@ -25,6 +25,11 @@ by plain accumulation into one dict keyed by parameter name.
 One executor serves every entry point. It takes a list of round counts:
 training and forward() pass one, forward_depths() several, and then each
 distinct prefix of leaf calls runs once for all of them.
+
+A training step (loss_and_grads) runs the batch in micro-batches of whole
+sequences and sums their gradients, so it holds the activations of one
+micro-batch, not of the batch. Forward-only calls keep no activations and
+run the batch whole.
 """
 
 from __future__ import annotations
@@ -128,6 +133,11 @@ def adapter_fraction(params: dict) -> dict:
         "with_embeddings": adapter / total if total else 0.0,
         "without_embeddings": adapter / non_embed if non_embed else 0.0,
     }
+
+
+# Bytes of the widest per-layer activation one micro-batch of a training
+# step may hold; see RecursiveModel._micro_batches.
+_GROUP_BYTES = 1 << 20
 
 
 class RecursiveModel:
@@ -285,15 +295,34 @@ class RecursiveModel:
     def loss_and_grads(self, params, tokens, targets, rounds=None, segments=None):
         """Mean cross entropy (nats) and gradients for every parameter.
 
+        The batch runs in micro-batches of whole sequences (see
+        _micro_batches), each a forward and a backward of its own, so a step
+        holds one micro-batch of activations. Each group's loss and logit
+        gradient are weighted by its share of the tokens, and the gradients
+        are summed over groups. A batch that fits in one group runs exactly
+        as one forward and backward over the whole batch.
+
         Parameters a given execution never touches (other rounds' adapters,
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
         """
-        (logits,), tape, (info,) = self._run(
-            params, tokens, [rounds], _mask(segments), need_tape=True
-        )
-        loss, xc = softmax_xent_fwd(logits, targets)
-        grads = self._backward(params, tape, softmax_xent_bwd(xc))
+        tokens, targets = np.asarray(tokens), np.asarray(targets)
+        groups = self._micro_batches(tokens)
+        loss, grads = 0.0, {}
+        for rows in groups:
+            seg = None if segments is None else np.asarray(segments)[rows]
+            (logits,), tape, (info,) = self._run(
+                params, tokens[rows], [rounds], _mask(seg), need_tape=True
+            )
+            group_loss, xc = softmax_xent_fwd(logits, targets[rows])
+            dlogits = softmax_xent_bwd(xc)
+            if len(groups) > 1:
+                share = (rows.stop - rows.start) / len(tokens)
+                group_loss *= share
+                dlogits *= share
+            loss += group_loss
+            self._backward(params, tape, dlogits, grads)
+            del logits, tape, xc, dlogits  # free this group's tape before the next
         for name, p in params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(p)
@@ -419,8 +448,24 @@ class RecursiveModel:
             * self.dtype.itemsize
         )
 
-    def _backward(self, params, tape, dlogits):
-        grads: dict[str, np.ndarray] = {}
+    def _micro_batches(self, tokens):
+        """Row slices of whole sequences that loss_and_grads runs one by one.
+
+        A sequence is never split, since attention spans it. A group holds
+        the most sequences whose widest per-layer activation, rows x
+        max(mlp_dim, n_heads * T) x itemsize (the GELU input or the
+        attention scores), fits in _GROUP_BYTES, and at least one; the
+        groups are near-equal. 1-D tokens are one sequence.
+        """
+        B, T = tokens.reshape(-1, tokens.shape[-1]).shape
+        widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
+        n = -(-B // max(1, _GROUP_BYTES // widest))
+        if n == 1:
+            return [slice(None)]
+        return [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
+
+    def _backward(self, params, tape, dlogits, grads):
+        """Accumulate the tape's gradients into grads (name -> array)."""
         c_final, xnf = tape["final"]
         dlogits = dlogits.reshape(xnf.shape[:-1] + dlogits.shape[-1:])  # 1-D tokens
 
@@ -475,7 +520,6 @@ class RecursiveModel:
         dpos = np.zeros_like(params["embed.pos"])
         dpos[:T] = dpos_rows
         _acc(grads, "embed.pos", dpos)
-        return grads
 
 
 def _mask(segments):

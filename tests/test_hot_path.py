@@ -333,16 +333,19 @@ def test_loss_and_grads_pure_and_repeatable(rng, dtype, signature, kw):
         dtype=dtype,
     )
     params = model.init_params(3)
-    tokens = rng.integers(0, V, size=(3, 24))
-    targets = rng.integers(0, V, size=(3, 24))
-    segments = np.cumsum(rng.random((3, 24)) < 0.1, axis=1)
-    first = unchanged(model.loss_and_grads, params, tokens, targets, segments=segments)
-    second = model.loss_and_grads(params, tokens, targets, segments=segments)
-    assert first[0] == second[0]
-    bitwise_equal(first[1], second[1])
-    assert all(g.dtype == np.dtype(dtype) for g in first[1].values())
-    logits = unchanged(model.forward, params, tokens)
-    assert logits.dtype == np.dtype(dtype)
+    for batch in (3, 200):  # 200 sequences run as several micro-batches
+        tokens = rng.integers(0, V, size=(batch, 24))
+        targets = rng.integers(0, V, size=(batch, 24))
+        segments = np.cumsum(rng.random((batch, 24)) < 0.1, axis=1)
+        assert (len(model._micro_batches(tokens)) > 1) == (batch > 3)
+        first = unchanged(model.loss_and_grads, params, tokens, targets,
+                          segments=segments)
+        second = model.loss_and_grads(params, tokens, targets, segments=segments)
+        assert first[0] == second[0]
+        bitwise_equal(first[1], second[1])
+        assert all(g.dtype == np.dtype(dtype) for g in first[1].values())
+        logits = unchanged(model.forward, params, tokens)
+        assert logits.dtype == np.dtype(dtype)
 
 
 # ------------------------------------------------------------------- Adam

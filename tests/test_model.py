@@ -401,6 +401,127 @@ class TestModelGradients:
         assert np.abs(grads["adapter.3"]).max() == 0.0
 
 
+class TestMicroBatches:
+    """loss_and_grads runs a batch as micro-batches of whole sequences."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        # At tiny dims one sequence's widest activation is 5 x 16 x 8 = 640
+        # bytes; room for two sequences splits a batch of 5 into 1, 2, 2.
+        import rinslab.model as model_mod
+
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 1280)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("kv_share", [False, True])
+    @pytest.mark.parametrize("adapters", [False, True])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_groups_sum_to_per_sequence_grads(
+        self, tiny_dims, split, rounds, kv_share, adapters, segmented
+    ):
+        pol = rl.RecursionPolicy(r_max=3, kv_share=kv_share, adapters=adapters)
+        m = make_model(tiny_dims, "A^3B", policy=pol)
+        p = m.init_params(7)
+        rng = np.random.default_rng(rounds)
+        for name in [n for n in p if n.startswith("adapter.")]:
+            p[name] = p[name] + rng.normal(0.0, 0.3, size=p[name].shape)
+        B = 5
+        t = rng.integers(0, tiny_dims.vocab, size=(B, tiny_dims.seq_len))
+        u = rng.integers(0, tiny_dims.vocab, size=(B, tiny_dims.seq_len))
+        seg = np.cumsum(rng.random(t.shape) < 0.3, axis=1) if segmented else None
+        assert [s.stop - s.start for s in m._micro_batches(t)] == [1, 2, 2]
+
+        loss, grads, info = m.loss_and_grads(p, t, u, rounds=rounds, segments=seg)
+        assert info["rounds"] == rounds
+        # Every sequence has T tokens, so each one's token share is 1/B.
+        want_loss, want = 0.0, {k: np.zeros_like(v) for k, v in p.items()}
+        for i in range(B):
+            one = None if seg is None else seg[i:i + 1]
+            li, gi, _ = m.loss_and_grads(p, t[i:i + 1], u[i:i + 1], rounds=rounds,
+                                         segments=one)
+            want_loss += li / B
+            for k in want:
+                want[k] += gi[k] / B
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert loss == pytest.approx(m.loss(p, t, u, rounds=rounds, segments=seg),
+                                     rel=1e-12)
+        assert set(grads) == set(p)
+        for k in p:
+            np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=1e-12, err_msg=k)
+
+        names = ["embed.token", "embed.pos", "block.A.layer.0.attn.k",
+                 "block.A.layer.1.mlp.w_in", "block.B.layer.0.attn.v",
+                 "final_norm.beta", "head.w"]
+        if adapters:
+            names.append(f"adapter.{rounds}")
+        eps = 1e-5
+        for name in names:
+            arr = p[name]
+            idx = tuple(rng.integers(0, s) for s in arr.shape)
+            old = arr[idx]
+            arr[idx] = old + eps
+            hi = m.loss(p, t, u, rounds=rounds, segments=seg)
+            arr[idx] = old - eps
+            lo = m.loss(p, t, u, rounds=rounds, segments=seg)
+            arr[idx] = old
+            fd = (hi - lo) / (2 * eps)
+            assert abs(grads[name][idx] - fd) < 1e-7 * max(1.0, abs(fd)), (name, fd)
+
+    @pytest.mark.parametrize("text,kw", [
+        ("AB", {}),
+        ("A^3B", dict(kv_share=True, adapters=True)),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_group_loss_is_forward_loss(self, tiny_dims, toks, text, kw, dtype):
+        t, u = toks
+        pol = rl.RecursionPolicy(r_max=rl.rins_rounds(rl.parse(text)), **kw)
+        m = make_model(tiny_dims, text, policy=pol, dtype=dtype)
+        p = m.init_params(2)
+        assert m._micro_batches(t) == [slice(None)]
+        segments = np.array([[0, 0, 1, 1, 1], [0, 1, 1, 2, 2]])
+        for seg in (None, segments):
+            assert m.loss_and_grads(p, t, u, segments=seg)[0] == m.loss(
+                p, t, u, segments=seg)
+
+    def test_group_rule_at_benchmark_shapes(self):
+        desk = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
+                            seq_len=96, total_layers=4)
+        quick = rl.ModelDims(d_model=48, n_heads=4, mlp_dim=192, vocab=65,
+                             seq_len=48, total_layers=4)
+        m = make_model(desk, "A^3B", dtype=np.float32)
+        groups = m._micro_batches(np.zeros((16, 96), dtype=np.int64))
+        assert [(s.start, s.stop) for s in groups] == [(0, 4), (4, 8), (8, 12), (12, 16)]
+        # Uneven batches get near-equal groups of at most four sequences.
+        sizes = [s.stop - s.start for s in m._micro_batches(np.zeros((17, 96), int))]
+        assert sum(sizes) == 17 and max(sizes) - min(sizes) <= 1 and max(sizes) <= 4
+        # A sequence wider than the bound still runs, alone.
+        wide = make_model(rl.ModelDims(d_model=160, n_heads=4, mlp_dim=4096,
+                                       vocab=65, seq_len=96, total_layers=4), "AB")
+        assert len(wide._micro_batches(np.zeros((3, 96), int))) == 3
+        q = make_model(quick, "A^3B", dtype=np.float32)
+        assert q._micro_batches(np.zeros((8, 48), dtype=np.int64)) == [slice(None)]
+
+    def test_step_peak_bounded_by_micro_batch(self):
+        import tracemalloc
+
+        # Desk width: four sequences fill one micro-batch, sixteen make four.
+        dims = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
+                            seq_len=96, total_layers=4)
+        m = make_model(dims, "AB", dtype=np.float32)
+        p = m.init_params(0)
+        peaks = []
+        for batch in (4, 16):
+            t = np.zeros((batch, dims.seq_len), dtype=np.int64)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                m.loss_and_grads(p, t, t)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0], [x / 2**20 for x in peaks]
+
+
 class TestStochasticRounds:
     def test_sampler_bounds_and_determinism(self):
         pol = rl.RecursionPolicy(r_max=3, p_skip=0.5)
