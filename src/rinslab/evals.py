@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import ByteTokenizer
+from .corpus import ByteTokenizer, segments_from_boundaries
 from .model import RecursiveModel
 
 __all__ = [
@@ -160,8 +160,6 @@ def _score_item(model, params, tokenizer, item, option_indices, depths, score_fu
         n = len(cond_ids) + len(opt_ids)
         if n > seq_len:
             raise ContextOverflowError(item.describe(), n, seq_len)
-        if len(opt_ids) == 0:
-            raise TemplateError(f"empty option {i} in item {item.describe()}")
         # logits[t] predicts ids[t+1]; position 0 is never predicted.
         start = 1 if score_full else max(len(cond_ids), 1)
         if start >= n:
@@ -265,8 +263,6 @@ def held_out_log_perplexity(
     mask_reset evaluates with document-isolated attention, matching a
     training run that used the same flag.
     """
-    from .corpus import segments_from_boundaries
-
     total_loss = 0.0
     total_tokens = 0
     for batch in batches:

@@ -27,6 +27,7 @@ key in [train] is recorded but overridden.
 
 from __future__ import annotations
 
+import configparser
 import csv
 import hashlib
 import json
@@ -41,12 +42,16 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .checkpoint import load_checkpoint
+from .corpus import ByteTokenizer
+from .evals import eval_mcq_depths, read_task_jsonl, write_results_jsonl
 from .ledger import (
+    InfeasiblePlanError,
     ModelDims,
     enumerate_sweep,
     expected_stochastic_cost,
     matched_steps,
     param_count,
+    plan_layers_per_block,
     step_cost,
 )
 from .model import RecursionPolicy, RecursiveModel, adapter_fraction
@@ -124,8 +129,6 @@ _REQUIRED = {
 
 
 def _parse_ini(text: str, known: dict, required: set) -> dict[str, dict[str, str]]:
-    import configparser
-
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
@@ -184,17 +187,12 @@ def _section(raw: dict, section: str, **given):
         raise ConfigError(f"{section}.{key}: {e}" if key else f"{section}: {e}") from e
 
 
-def _signature(text: str, where: str, total_layers: int) -> Signature:
+def _signature(text: str, where: str, dims: ModelDims) -> Signature:
     try:
         sig = parse_tagged(text)
-    except SignatureParseError as e:
+        plan_layers_per_block(expand(sig), dims)
+    except (SignatureParseError, InfeasiblePlanError) as e:
         raise ConfigError(f"{where}: {e}") from None
-    if layers_per_block(sig, total_layers) < 1:
-        raise ConfigError(
-            f"{where}: {to_tagged(sig)} is infeasible at "
-            f"model.total_layers={total_layers} (layers_per_block=0, "
-            f"needs {sig.unique_leaf_count} blocks)"
-        )
     return sig
 
 
@@ -245,7 +243,7 @@ def parse_run_config(text: str) -> RunSpec:
     dtype = raw["model"].get("dtype", "float32")
     if dtype not in ("float32", "float64"):
         raise ConfigError(f"model.dtype: expected float32 or float64, got {dtype!r}")
-    signature = _signature(raw["signature"]["value"], "signature.value", dims.total_layers)
+    signature = _signature(raw["signature"]["value"], "signature.value", dims)
     policy = _section(raw, "policy", r_max=rins_rounds(signature) or 1)
 
     declared_total = _convert(raw["train"]["total_steps"], "int", "train.total_steps")
@@ -253,7 +251,7 @@ def parse_run_config(text: str) -> RunSpec:
     baseline = None
     if "baseline" in raw:
         b = raw["baseline"]
-        bsig = _signature(b["signature"], "baseline.signature", dims.total_layers)
+        bsig = _signature(b["signature"], "baseline.signature", dims)
         bsteps = _convert(b["steps"], "int", "baseline.steps")
         if bsteps < 1:
             raise ConfigError(f"baseline.steps: must be >= 1, got {bsteps}")
@@ -380,6 +378,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
     manifest_path = run_dir / "manifest.json"
     ckpt_path = run_dir / "checkpoint.rlab"
 
+    old = None
     if manifest_path.exists() and not force:
         old = json.loads(manifest_path.read_text(encoding="utf-8"))
         if old.get("config_hash") == chash and old.get("status") == "done":
@@ -408,10 +407,8 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         eval_batches[ename] = got
 
     resume_from = None
-    if ckpt_path.exists() and manifest_path.exists() and not force:
-        old = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if old.get("config_hash") == chash:
-            resume_from = str(ckpt_path)
+    if ckpt_path.exists() and old is not None and old.get("config_hash") == chash:
+        resume_from = str(ckpt_path)
 
     manifest = {
         "name": spec.name,
@@ -519,10 +516,8 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
         raise ConfigError(f"config file not found: {config_path}")
     raw = _parse_ini(config_path.read_text(encoding="utf-8"), _SWEEP_KEYS, _SWEEP_REQUIRED)
     sweep_name = raw["sweep"].get("name", "sweep")
-    total_layers = _section(raw, "model").total_layers
-    bsig = _signature(
-        raw["sweep"]["baseline_signature"], "sweep.baseline_signature", total_layers
-    )
+    dims = _section(raw, "model")
+    bsig = _signature(raw["sweep"]["baseline_signature"], "sweep.baseline_signature", dims)
     # the shared sections fail here, once, not in every candidate
     parse_run_config(_sweep_candidate_config(raw, bsig, sweep_name))
 
@@ -530,7 +525,7 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
     sweep_dir = root / sweep_name
     sweep_dir.mkdir(parents=True, exist_ok=True)
 
-    candidates = enumerate_sweep(total_layers)
+    candidates = enumerate_sweep(dims.total_layers)
     rows: list[dict] = []
     pending: list[tuple[dict, Path]] = []
     for sig, feasible in candidates:
@@ -538,7 +533,7 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
             "signature": sig.symbols,
             "degree": sig.degree,
             "feasible": feasible,
-            "layers_per_block": layers_per_block(sig, total_layers),
+            "layers_per_block": layers_per_block(sig, dims.total_layers),
         }
         if not feasible:
             row["status"] = "skipped-infeasible"
@@ -582,24 +577,38 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
 # ----------------------------------------------------------------- fit/report
 
 
-def _trace_fit_points(run_dir: Path, use: str, last_frac: float):
-    trace = LossTrace.from_jsonl(run_dir / "trace.jsonl")
-    if use == "train":
-        pts = [(r.compute, r.train_loss) for r in trace.records]
-    elif use.startswith("eval:"):
-        name = use[len("eval:"):]
-        pts = trace.eval_points(name)
-        if not pts:
-            raise ConfigError(
-                f"{run_dir}: no eval points named {name!r} in trace "
-                f"(have {trace.eval_names})"
-            )
-    else:
+def _check_fit_args(use: str, last_frac: float):
+    if use != "train" and not use.startswith("eval:"):
         raise ConfigError(f"--use must be 'train' or 'eval:<name>', got {use!r}")
     if not (0.0 < last_frac <= 1.0):
         raise ConfigError(f"--last-frac must be in (0, 1], got {last_frac}")
-    k = max(4, int(round(len(pts) * last_frac)))
-    return pts[-k:]
+
+
+def _load_run(run_dir: Path, use: str) -> tuple[dict, list[tuple[float, float]]]:
+    """A run directory's manifest and every (compute, loss) point of `use`."""
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    trace = LossTrace.from_jsonl(run_dir / "trace.jsonl")
+    if use == "train":
+        return manifest, [(r.compute, r.train_loss) for r in trace.records]
+    name = use[len("eval:"):]
+    pts = trace.eval_points(name)
+    if not pts:
+        raise ConfigError(
+            f"{run_dir}: no eval points named {name!r} in trace "
+            f"(have {trace.eval_names})"
+        )
+    return manifest, pts
+
+
+def _fit_runs(runs, out_path, last_frac: float) -> dict[str, FitResult]:
+    """Fit the last last_frac of each run's points (at least four)."""
+    fits: dict[str, FitResult] = {}
+    for manifest, pts in runs:
+        k = max(4, int(round(len(pts) * last_frac)))
+        fits[manifest["name"]] = fit_power_law(pts[-k:])
+    if out_path is not None:
+        write_fits_json(out_path, fits)
+    return fits
 
 
 def cmd_fit(
@@ -609,24 +618,14 @@ def cmd_fit(
     last_frac: float = 1.0,
 ) -> dict[str, FitResult]:
     """Fit each run's loss-vs-compute trace; write fits JSON when asked."""
-    fits: dict[str, FitResult] = {}
-    for rd in run_dirs:
-        rd = Path(rd)
-        manifest = json.loads((rd / "manifest.json").read_text(encoding="utf-8"))
-        pts = _trace_fit_points(rd, use, last_frac)
-        fits[manifest["name"]] = fit_power_law(pts)
-    if out_path is not None:
-        write_fits_json(out_path, fits)
-    return fits
+    _check_fit_args(use, last_frac)
+    return _fit_runs([_load_run(Path(rd), use) for rd in run_dirs], out_path, last_frac)
 
 
-def _family_from_manifests(run_dirs) -> Optional[dict[int, str]]:
-    """Map rounds r -> run name when the dirs form an A^r B family."""
+def _family(manifests) -> Optional[dict[int, str]]:
+    """Map rounds r -> run name when the runs form an A^r B family."""
     mapping: dict[int, str] = {}
-    for rd in run_dirs:
-        manifest = json.loads(
-            (Path(rd) / "manifest.json").read_text(encoding="utf-8")
-        )
+    for manifest in manifests:
         sig = parse_tagged(manifest["signature_tagged"])
         r = rins_rounds(sig)
         if r is None or r in mapping:
@@ -647,15 +646,14 @@ def cmd_report(
     whether the qualitative pattern held: exponents rising with r, late-run
     loss falling with r. Flags are reported, never asserted.
     """
+    _check_fit_args(use, last_frac)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fits = cmd_fit(run_dirs, out_dir / "fits.json", use=use, last_frac=last_frac)
+    runs = [_load_run(Path(rd), use) for rd in run_dirs]
+    fits = _fit_runs(runs, out_dir / "fits.json", last_frac)
 
     all_points: dict[str, list[tuple[float, float]]] = {}
-    for rd in run_dirs:
-        rd = Path(rd)
-        manifest = json.loads((rd / "manifest.json").read_text(encoding="utf-8"))
-        pts = _trace_fit_points(rd, use, 1.0)
+    for manifest, pts in runs:
         all_points[manifest["name"]] = pts
         with open(out_dir / f"curve-{manifest['name']}.csv", "w",
                   encoding="utf-8", newline="") as f:
@@ -670,7 +668,7 @@ def cmd_report(
         "last_frac": last_frac,
     }
 
-    family_map = _family_from_manifests(run_dirs)
+    family_map = _family([manifest for manifest, _ in runs])
     if family_map:
         family = RCurveFamily(
             {r: fits[name] for r, name in family_map.items()}
@@ -714,9 +712,6 @@ def cmd_eval(
     Every round count is checked against the checkpoint before any item is
     scored; each item then takes one forward pass for all of them.
     """
-    from .corpus import ByteTokenizer
-    from .evals import eval_mcq_depths, read_task_jsonl, write_results_jsonl
-
     ckpt_path = Path(checkpoint_path)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")

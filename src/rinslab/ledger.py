@@ -1,11 +1,14 @@
 """Compute and parameter accounting for execution plans.
 
-Costs here are forward-pass costs per sequence (batch size cancels out of
-every matched-budget ratio, so it is deliberately absent). Two accounting
-modes exist: "layer-pass" counts executed layer passes times sequence length,
-"exact-flops" uses a per-token-per-layer FLOP formula. The modes can rank
-variants differently when sequence length or width varies, which is why both
-are exposed; budget matching defaults to layer-pass.
+This module is the one place that turns a plan into layers per block and
+into cost; the executor, the trainer and the run specs all read them from
+here. Costs are forward-pass costs per sequence (batch size cancels out of
+every matched-budget ratio, so it is deliberately absent). The unit is the
+layer pass: executed leaf calls x layers_per_block x seq_len, priced by
+layer_pass_cost. Budget matching and expected stochastic cost use layer
+passes only; step_cost also reports "exact-flops", a per-token-per-layer
+FLOP formula, since the two units can rank variants differently when
+sequence length or width varies.
 
 Parameter count depends only on distinct leaf blocks, never on how often they
 are executed: recursion buys compute, not parameters.
@@ -29,6 +32,8 @@ __all__ = [
     "InfeasiblePlanError",
     "ModelDims",
     "CostMode",
+    "plan_layers_per_block",
+    "layer_pass_cost",
     "param_count",
     "step_cost",
     "matched_steps",
@@ -67,8 +72,11 @@ class ModelDims:
             )
 
 
-def _lpb_or_raise(plan: ExecutionPlan, dims: ModelDims) -> int:
-    lpb = layers_per_block(plan.source, dims.total_layers)
+def plan_layers_per_block(plan: ExecutionPlan, dims: ModelDims) -> int:
+    """Layers each of the plan's distinct leaf blocks gets: total_layers //
+    plan.unique_leaf_count, the leaves the executor builds parameters for.
+    Raises InfeasiblePlanError when that is 0."""
+    lpb = dims.total_layers // plan.unique_leaf_count
     if lpb < 1:
         raise InfeasiblePlanError(
             f"signature {to_tagged(plan.source)} needs {plan.unique_leaf_count} "
@@ -76,6 +84,13 @@ def _lpb_or_raise(plan: ExecutionPlan, dims: ModelDims) -> int:
             f"(layers_per_block=0)"
         )
     return lpb
+
+
+def layer_pass_cost(plan: ExecutionPlan, dims: ModelDims, calls) -> float:
+    """Layer-pass cost of `calls` executed leaf calls of the plan, per
+    sequence: calls x layers_per_block x seq_len. calls may be a float, an
+    expected count."""
+    return float(calls * plan_layers_per_block(plan, dims) * dims.seq_len)
 
 
 def _per_layer_params(dims: ModelDims) -> int:
@@ -94,7 +109,7 @@ def param_count(plan: ExecutionPlan, dims: ModelDims) -> int:
     Invariant to repetition in the plan. Adapter banks are optional equipment
     and not counted here (adapter_fraction reports their share).
     """
-    lpb = _lpb_or_raise(plan, dims)
+    lpb = plan_layers_per_block(plan, dims)
     d = dims.d_model
     embed = dims.vocab * d + dims.seq_len * d
     head = d * dims.vocab + dims.vocab
@@ -111,16 +126,15 @@ def _flops_per_token_layer(dims: ModelDims) -> float:
 def step_cost(plan: ExecutionPlan, dims: ModelDims, mode: CostMode = "layer-pass") -> float:
     """Forward cost of one training sequence under the plan.
 
-    layer-pass: executed leaf calls x layers_per_block x seq_len (an integer).
+    layer-pass: layer_pass_cost of every call in the plan (an integer).
     exact-flops: the same layer count times a per-token FLOP estimate; MACs
     count as 2 FLOPs and causal attention scores average seq_len/2 keys.
     """
-    lpb = _lpb_or_raise(plan, dims)
-    layer_passes = len(plan.leaf_sequence) * lpb
+    cost = layer_pass_cost(plan, dims, len(plan))
     if mode == "layer-pass":
-        return float(layer_passes * dims.seq_len)
+        return cost
     if mode == "exact-flops":
-        return layer_passes * dims.seq_len * _flops_per_token_layer(dims)
+        return cost * _flops_per_token_layer(dims)
     raise ValueError(f"unknown cost mode {mode!r}")
 
 
@@ -130,9 +144,9 @@ def matched_steps(
     dims_baseline: ModelDims,
     dims_variant: ModelDims,
     baseline_steps: int,
-    mode: CostMode = "layer-pass",
 ) -> int:
-    """Largest variant step count whose total cost fits the baseline budget.
+    """Largest variant step count whose layer-pass cost fits the baseline
+    budget.
 
     floor(baseline_steps * cost_baseline / cost_variant), computed with exact
     rational arithmetic so equal-cost plans match exactly. The result never
@@ -140,35 +154,25 @@ def matched_steps(
     """
     if baseline_steps < 0:
         raise ValueError(f"baseline_steps must be >= 0, got {baseline_steps}")
-    cost_b = step_cost(baseline_plan, dims_baseline, mode)
-    cost_v = step_cost(variant_plan, dims_variant, mode)
+    cost_b = step_cost(baseline_plan, dims_baseline)
+    cost_v = step_cost(variant_plan, dims_variant)
     # Fraction(float) is exact, so the floor below is exact too.
     ratio = Fraction(cost_b) / Fraction(cost_v)
     return int(baseline_steps * ratio)
 
 
-def expected_stochastic_cost(
-    plan: ExecutionPlan,
-    dims: ModelDims,
-    p_skip: float,
-    mode: CostMode = "layer-pass",
-) -> float:
-    """Expected per-step cost when skip-eligible calls drop with prob p_skip.
+def expected_stochastic_cost(plan: ExecutionPlan, dims: ModelDims, p_skip: float) -> float:
+    """Expected per-step layer-pass cost when skip-eligible calls drop with
+    prob p_skip.
 
     Affine and decreasing in p_skip; equals step_cost at p_skip = 0. Positions
     outside the eligible mask always execute.
     """
     if not (0.0 <= p_skip < 1.0):
         raise ValueError(f"p_skip must be in [0, 1), got {p_skip}")
-    lpb = _lpb_or_raise(plan, dims)
     n_eligible = sum(plan.skip_eligible)
-    n_always = len(plan.leaf_sequence) - n_eligible
-    expected_calls = n_always + n_eligible * (1.0 - p_skip)
-    if mode == "layer-pass":
-        return expected_calls * lpb * dims.seq_len
-    if mode == "exact-flops":
-        return expected_calls * lpb * dims.seq_len * _flops_per_token_layer(dims)
-    raise ValueError(f"unknown cost mode {mode!r}")
+    n_always = len(plan) - n_eligible
+    return layer_pass_cost(plan, dims, n_always + n_eligible * (1.0 - p_skip))
 
 
 # Sweep ordering: the all-layers baseline, repeat-all-over at increasing

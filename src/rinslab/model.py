@@ -52,7 +52,7 @@ from .layers import (
     softmax_xent_bwd,
     softmax_xent_fwd,
 )
-from .ledger import InfeasiblePlanError, ModelDims
+from .ledger import ModelDims, plan_layers_per_block
 from .signatures import ExecutionPlan, leaf_label, rins_rounds, to_tagged
 
 __all__ = [
@@ -154,12 +154,7 @@ class RecursiveModel:
         self.plan = plan
         self.policy = policy
         self.dtype = np.dtype(dtype)
-        self.layers_per_block = dims.total_layers // plan.unique_leaf_count
-        if self.layers_per_block < 1:
-            raise InfeasiblePlanError(
-                f"signature {to_tagged(plan.source)} is infeasible at "
-                f"{dims.total_layers} layers (layers_per_block=0)"
-            )
+        self.layers_per_block = plan_layers_per_block(plan, dims)
         self._eligible = [i for i, e in enumerate(plan.skip_eligible) if e]
         if policy.r_max != 1 + len(self._eligible):
             raise ValueError(
@@ -300,26 +295,28 @@ class RecursiveModel:
         holds one micro-batch of activations. Each group's loss and logit
         gradient are weighted by its share of the tokens, and the gradients
         are summed over groups. A batch that fits in one group runs exactly
-        as one forward and backward over the whole batch.
+        as one forward and backward over the whole batch. 1-D tokens are a
+        batch of one sequence.
 
         Parameters a given execution never touches (other rounds' adapters,
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
         """
-        tokens, targets = np.asarray(tokens), np.asarray(targets)
-        groups = self._micro_batches(tokens)
+        T = np.shape(tokens)[-1]
+        tokens, targets = np.reshape(tokens, (-1, T)), np.reshape(targets, (-1, T))
+        if segments is not None:
+            segments = np.reshape(segments, (-1, T))
         loss, grads = 0.0, {}
-        for rows in groups:
-            seg = None if segments is None else np.asarray(segments)[rows]
+        for rows in self._micro_batches(tokens):
+            seg = None if segments is None else segments[rows]
             (logits,), tape, (info,) = self._run(
                 params, tokens[rows], [rounds], _mask(seg), need_tape=True
             )
             group_loss, xc = softmax_xent_fwd(logits, targets[rows])
             dlogits = softmax_xent_bwd(xc)
-            if len(groups) > 1:
-                share = (rows.stop - rows.start) / len(tokens)
-                group_loss *= share
-                dlogits *= share
+            share = (rows.stop - rows.start) / len(tokens)  # 1.0, exactly, for one group
+            group_loss *= share
+            dlogits *= share
             loss += group_loss
             self._backward(params, tape, dlogits, grads)
             del logits, tape, xc, dlogits  # free this group's tape before the next
@@ -407,7 +404,7 @@ class RecursiveModel:
                         layer_records.append((prefix, c_ln1, c_attn, c_ln2, c_mlp))
                 if need_tape:
                     tape["calls"].append(
-                        {"leaf": leaf, "produced": produce, "layers": layer_records,
+                        {"leaf": leaf, "consume": consume, "layers": layer_records,
                          "adapter": adapted}
                     )
                 if keep and ci < shared:
@@ -455,20 +452,16 @@ class RecursiveModel:
         the most sequences whose widest per-layer activation, rows x
         max(mlp_dim, n_heads * T) x itemsize (the GELU input or the
         attention scores), fits in _GROUP_BYTES, and at least one; the
-        groups are near-equal. 1-D tokens are one sequence.
+        groups are near-equal. tokens is (B, T).
         """
-        B, T = tokens.reshape(-1, tokens.shape[-1]).shape
+        B, T = tokens.shape
         widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
         n = -(-B // max(1, _GROUP_BYTES // widest))
-        if n == 1:
-            return [slice(None)]
         return [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
 
     def _backward(self, params, tape, dlogits, grads):
         """Accumulate the tape's gradients into grads (name -> array)."""
         c_final, xnf = tape["final"]
-        dlogits = dlogits.reshape(xnf.shape[:-1] + dlogits.shape[-1:])  # 1-D tokens
-
         d2 = dlogits.reshape(-1, dlogits.shape[-1])
         x2 = xnf.reshape(-1, xnf.shape[-1])
         _acc(grads, "head.w", x2.T @ d2)
@@ -478,7 +471,9 @@ class RecursiveModel:
         _acc(grads, "final_norm.gamma", dgam)
         _acc(grads, "final_norm.beta", dbet)
 
-        pending_kv: dict[tuple[int, int], list] = {}
+        # (leaf, layer) -> (dk, dv) summed over the calls that consumed that
+        # leaf's first-call keys and values, awaiting the call that made them
+        pending_kv: dict[tuple[int, int], tuple] = {}
         for call in reversed(tape["calls"]):
             leaf = call["leaf"]
             for l in range(len(call["layers"]) - 1, -1, -1):
@@ -490,16 +485,14 @@ class RecursiveModel:
                 _acc(grads, prefix + "ln2.beta", dbet)
                 dh = dh + dres
 
-                consumed = c_attn[6]
-                if consumed:
+                if call["consume"]:
                     dxn1, g, dk, dv = attention_bwd(dh, c_attn, params, prefix + "attn.")
-                    slot = pending_kv.setdefault((leaf, l), [None, None])
-                    slot[0] = dk if slot[0] is None else slot[0] + dk
-                    slot[1] = dv if slot[1] is None else slot[1] + dv
+                    if (leaf, l) in pending_kv:
+                        dk_p, dv_p = pending_kv[(leaf, l)]
+                        dk, dv = dk_p + dk, dv_p + dv
+                    pending_kv[(leaf, l)] = (dk, dv)
                 else:
-                    dk_x, dv_x = (None, None)
-                    if call["produced"] and (leaf, l) in pending_kv:
-                        dk_x, dv_x = pending_kv.pop((leaf, l))
+                    dk_x, dv_x = pending_kv.pop((leaf, l), (None, None))
                     dxn1, g, _, _ = attention_bwd(
                         dh, c_attn, params, prefix + "attn.", dk_x, dv_x
                     )

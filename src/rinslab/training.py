@@ -1,11 +1,11 @@
 """Training loop: cyclic batches, per-step round sampling, Adam, tracing.
 
 One rounds draw per optimizer step, shared by the whole batch. Compute is
-accounted in per-sequence layer-pass units so the trace's expected-cost
-figure equals the ledger's expected_stochastic_cost exactly; the cumulative
-column uses realized (sampled) cost. Divergence (loss above 10x the first
-step's loss) and non-finite gradients abort the run early with the partial
-trace marked aborted rather than raising.
+accounted in per-sequence layer-pass units by the ledger: the trace's
+expected-cost figure is expected_stochastic_cost, and the cumulative column
+sums layer_pass_cost of the calls each step executed. Divergence (loss
+above 10x the first step's loss) and non-finite gradients abort the run
+early with the partial trace marked aborted rather than raising.
 
 Resume restores parameters, Adam moments, the rounds RNG state, and the
 batch cursor from a checkpoint, so a resumed run reproduces the uninterrupted
@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import PackedBatch, segments_from_boundaries
 from .evals import held_out_log_perplexity
-from .ledger import expected_stochastic_cost
+from .ledger import expected_stochastic_cost, layer_pass_cost
 from .model import RecursiveModel, sample_rounds
 from .optim import AdamState, NonFiniteGradientError, TrainConfig, adam_step, init_adam_state, lr_at
 from .signatures import to_tagged
@@ -128,8 +128,6 @@ def train(
     eval_batches = eval_batches or {}
     policy = model.policy
     expected_step_cost = expected_stochastic_cost(model.plan, model.dims, policy.p_skip)
-    lpb = model.layers_per_block
-    seq = model.dims.seq_len
 
     start_step = 0
     cum_compute = 0.0
@@ -221,8 +219,7 @@ def train(
             trace.abort_reason = f"non-finite loss at step {step}"
             break
 
-        exec_len = len(info["exec"])
-        cum_compute += exec_len * lpb * seq
+        cum_compute += layer_pass_cost(model.plan, model.dims, len(info["exec"]))
 
         if initial_loss is None:
             initial_loss = loss

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rinslab as rl
+from rinslab.ledger import layer_pass_cost
 
 
 def hand_params(dims: rl.ModelDims, n_blocks: int, lpb: int) -> int:
@@ -167,3 +168,80 @@ class TestSweep:
         # single-block A applies the whole stack once: same cost as AB baseline
         assert steps("A") == 1000
         assert steps("AA") == 500
+
+
+class TestOneLedger:
+    """The ledger, the executor and the trainer price a plan by one rule,
+    even when a hand-built plan has more distinct leaves than its source."""
+
+    @pytest.fixture
+    def hand_plan(self):
+        # Three distinct leaves, where the source signature AB has two.
+        return rl.ExecutionPlan(
+            (0, 1, 2, 0), 3, (False, True, True, False), rl.parse("AB")
+        )
+
+    def test_ledger_prices_what_the_executor_builds_and_runs(self, tiny_dims, hand_plan):
+        model = rl.RecursiveModel(tiny_dims, hand_plan, rl.RecursionPolicy(r_max=3))
+        assert model.layers_per_block == 1  # 4 layers // 3 leaves
+        passes = len(model.leaf_exec(3)) * model.layers_per_block * tiny_dims.seq_len
+        assert rl.step_cost(hand_plan, tiny_dims) == passes == 20
+        params = model.init_params(0)
+        assert rl.param_count(hand_plan, tiny_dims) == sum(p.size for p in params.values())
+        assert rl.param_count(hand_plan, tiny_dims) == hand_params(tiny_dims, 3, 1)
+
+    def test_trace_compute_is_the_ledger_price_of_each_step(self, hand_plan):
+        dims = rl.ModelDims(d_model=16, n_heads=2, mlp_dim=32, vocab=11, seq_len=8,
+                            total_layers=4)
+        model = rl.RecursiveModel(dims, hand_plan, rl.RecursionPolicy(r_max=3, p_skip=0.5))
+        executed = []
+        run = model.loss_and_grads
+
+        def spy(*args, **kwargs):
+            out = run(*args, **kwargs)
+            executed.append(out[2]["exec"])
+            return out
+
+        model.loss_and_grads = spy
+        rng = np.random.default_rng(0)
+        tokens = rng.integers(0, dims.vocab - 1, size=(3, 4, dims.seq_len))
+        batches = [rl.PackedBatch(t, np.roll(t, -1, axis=1), np.zeros(t.shape, bool))
+                   for t in tokens]
+        cfg = rl.TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=12, seed=4)
+        trace, _ = rl.train(model, model.init_params(0), batches, cfg)
+        assert not trace.aborted and len(executed) == len(trace.records) == 12
+        assert len({len(e) for e in executed}) > 1  # the sampled depth varied
+        cum = 0.0
+        for rec, seq in zip(trace.records, executed):
+            price = layer_pass_cost(hand_plan, dims, len(seq))
+            assert price == len(seq) * 1 * dims.seq_len  # one layer per block
+            cum += price
+            assert rec.compute == cum
+        assert trace.expected_cost_per_step == rl.expected_stochastic_cost(
+            hand_plan, dims, 0.5) == layer_pass_cost(hand_plan, dims, 3.0)
+
+    def test_one_infeasibility_message(self, tiny_dims):
+        plan = rl.expand(rl.parse("ABBC", degree=2))  # 9 leaves at 4 layers
+        calls = [
+            lambda: rl.RecursiveModel(tiny_dims, plan),
+            lambda: rl.step_cost(plan, tiny_dims),
+            lambda: rl.param_count(plan, tiny_dims),
+            lambda: rl.expected_stochastic_cost(plan, tiny_dims, 0.5),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(rl.InfeasiblePlanError) as ei:
+                call()
+            messages.add(str(ei.value))
+        assert len(messages) == 1
+        (message,) = messages
+        assert "layers_per_block=0" in message
+        ini = (
+            "[run]\nname = x\n[signature]\nvalue = ABBC@d2\n"
+            "[model]\nd_model = 8\nn_heads = 2\nmlp_dim = 16\nvocab = 11\n"
+            "seq_len = 5\ntotal_layers = 4\n"
+            "[train]\ntotal_steps = 1\n[corpus]\ntrain = grammar:100\n"
+        )
+        with pytest.raises(rl.ConfigError) as ei:
+            rl.parse_run_config(ini)
+        assert str(ei.value) == f"signature.value: {message}"

@@ -477,7 +477,7 @@ class TestMicroBatches:
         pol = rl.RecursionPolicy(r_max=rl.rins_rounds(rl.parse(text)), **kw)
         m = make_model(tiny_dims, text, policy=pol, dtype=dtype)
         p = m.init_params(2)
-        assert m._micro_batches(t) == [slice(None)]
+        assert m._micro_batches(t) == [slice(0, len(t))]
         segments = np.array([[0, 0, 1, 1, 1], [0, 1, 1, 2, 2]])
         for seg in (None, segments):
             assert m.loss_and_grads(p, t, u, segments=seg)[0] == m.loss(
@@ -499,7 +499,7 @@ class TestMicroBatches:
                                        vocab=65, seq_len=96, total_layers=4), "AB")
         assert len(wide._micro_batches(np.zeros((3, 96), int))) == 3
         q = make_model(quick, "A^3B", dtype=np.float32)
-        assert q._micro_batches(np.zeros((8, 48), dtype=np.int64)) == [slice(None)]
+        assert q._micro_batches(np.zeros((8, 48), dtype=np.int64)) == [slice(0, 8)]
 
     def test_step_peak_bounded_by_micro_batch(self):
         import tracemalloc
