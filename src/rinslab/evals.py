@@ -6,6 +6,13 @@ the lowest score wins, ties to the lowest index. Scoring is deterministic:
 no sampling anywhere. Three render styles exist: "plain" joins non-empty
 fields with single spaces; "boolq" and "piqa" are fixed templates whose
 byte-level output is part of this module's contract.
+
+Scoring is batched. Each item is packed as one sequence, its context
+followed by each distinct option, and the packed items run in groups of
+similar length, one RecursiveModel.forward_depths call per group for every
+depth at once. Those calls compute logits only at the rows a score reads.
+An item's scores do not depend on the other items in its group, and they
+match scoring each option alone to float rounding.
 """
 
 from __future__ import annotations
@@ -135,21 +142,34 @@ def score_option(
     scores the whole rendered sequence instead (from position 1). A rendered
     sequence longer than seq_len raises, naming the item.
     """
-    return _score_item(
-        model, params, tokenizer, item, [option_index], [rounds], score_full
-    )[0][0]
+    pack = _pack(model, tokenizer, item, [option_index], score_full)
+    return _score_packs(model, params, [pack], [rounds])[0][0][0]
 
 
-def _score_item(model, params, tokenizer, item, option_indices, depths, score_full):
-    """scores[d][j]: score_option's value for option_indices[j] at depths[d],
-    from one executor call.
+@dataclass(frozen=True)
+class _Pack:
+    """One item as one sequence: tokens, (L, L) allow mask and positions;
+    rows, the sorted query rows whose logits are scored; per packed option,
+    gathers holds (indices into rows, the tokens they predict); slots maps
+    each requested option to its packed option."""
+
+    tokens: np.ndarray
+    allow: np.ndarray
+    positions: np.ndarray
+    rows: np.ndarray
+    gathers: list
+    slots: list
+
+
+def _pack(model, tokenizer, item, option_indices, score_full) -> _Pack:
+    """Pack an item for scoring the options in option_indices.
 
     The conditioning text does not depend on the option, so the item is
     packed as cond + opt_1 + ... + opt_n with each option's positions
     restarting at len(cond), and each option token attending to the
     context and its own option only. Identical options are packed once. An
-    option that cannot be scored raises before anything runs, in index
-    order, exactly as scoring it alone would.
+    option that cannot be scored raises, in index order, exactly as scoring
+    it alone would.
     """
     seq_len = model.dims.seq_len
     packed: dict[tuple, int] = {}  # option ids -> slot in the pack
@@ -171,23 +191,65 @@ def _score_item(model, params, tokenizer, item, option_indices, depths, score_fu
     opts = list(packed)
     tokens = np.asarray(cond_ids + [t for o in opts for t in o], dtype=np.int64)
     seg = np.repeat(np.arange(len(opts) + 1), [C] + [len(o) for o in opts])
-    allow = positions = None
-    if len(opts) > 1:
-        allow = (seg[:, None] == seg[None, :]) | (seg == 0)[None, :]
-        positions = np.concatenate(
-            [np.arange(C)] + [np.arange(C, C + len(o)) for o in opts]
-        )
+    allow = (seg[:, None] == seg[None, :]) | (seg == 0)[None, :]
+    positions = np.concatenate(
+        [np.arange(C)] + [np.arange(C, C + len(o)) for o in opts]
+    )
     gathers = []  # per packed option: rows predicting its scored tokens, tokens
     for j in range(1, len(opts) + 1):
         rows = np.flatnonzero((seg == 0) | (seg == j))  # its cond + option
         gathers.append((rows[start - 1:-1], tokens[rows[start:]]))
-    scores = []
-    for logits in model.forward_depths(params, tokens, depths, allow, positions):
-        m = logits.max(axis=-1, keepdims=True)
-        z = logits - m
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        per_opt = [float(-logp[rows, ids].mean()) for rows, ids in gathers]
-        scores.append([per_opt[s] for s in slots])
+    scored = np.unique(np.concatenate([r for r, _ in gathers]))
+    gathers = [(np.searchsorted(scored, r), ids) for r, ids in gathers]
+    return _Pack(tokens, allow, positions, scored, gathers, slots)
+
+
+def _score_packs(model, params, packs, depths):
+    """scores[d][n][j]: the score of packs[n]'s j-th requested option at
+    depths[d].
+
+    Packs are ordered by length and cut into groups of at most
+    model.group_size(T) sequences, T being the group's longest pack, and
+    each group is one forward_depths call over all depths that computes
+    logits for the scored rows only. Within a group every pack is padded to
+    T: real rows never attend to padding, and each padded row attends to
+    itself alone, so no row is fully masked. A pack's scores match scoring
+    it alone to float rounding.
+    """
+    order = sorted(range(len(packs)), key=lambda n: len(packs[n].tokens))
+    groups = [[]]
+    for n in order:
+        if len(groups[-1]) >= model.group_size(len(packs[n].tokens)):
+            groups.append([])
+        groups[-1].append(n)
+    scores = [[None] * len(packs) for _ in depths]
+    for group in groups:
+        B = len(group)
+        T = max(len(packs[n].tokens) for n in group)
+        R = max(len(packs[n].rows) for n in group)
+        tokens = np.zeros((B, T), dtype=np.int64)
+        positions = np.zeros((B, T), dtype=np.int64)
+        allow = np.zeros((B, 1, T, T), dtype=bool)
+        allow[:, 0] = np.eye(T, dtype=bool)
+        rows = np.zeros((B, R), dtype=np.int64)
+        for b, n in enumerate(group):
+            pack = packs[n]
+            L = len(pack.tokens)
+            tokens[b, :L] = pack.tokens
+            positions[b, :L] = pack.positions
+            allow[b, 0, :L, :L] = pack.allow
+            rows[b, :len(pack.rows)] = pack.rows
+        logits_by_depth = model.forward_depths(
+            params, tokens, depths, allow, positions, rows
+        )
+        for scored, logits in zip(scores, logits_by_depth):
+            m = logits.max(axis=-1, keepdims=True)
+            z = logits - m
+            logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            for b, n in enumerate(group):
+                per_opt = [float(-logp[b, idx, ids].mean())
+                           for idx, ids in packs[n].gathers]
+                scored[n] = [per_opt[s] for s in packs[n].slots]
     return scores
 
 
@@ -222,20 +284,18 @@ def eval_mcq_depths(
 ) -> list[EvalResult]:
     """eval_mcq at every round count in depths, one EvalResult each.
 
-    Each item takes one forward pass for all of its options and depths (see
-    RecursiveModel.forward_depths); scores match per-option score_option
-    to rounding.
+    Each item is packed as one sequence holding all of its options, and the
+    items run in a few batched forward passes for all depths (see
+    _score_packs); scores match per-option score_option to float rounding.
+    Every item is packed, and so checked, before anything runs.
     """
     if not items:
         raise ValueError("no items to evaluate")
-    per_depth = [[] for _ in depths]
-    for item in items:
-        scores = _score_item(
-            model, params, tokenizer, item, range(len(item.options)), depths,
-            score_full,
-        )
-        for scored, s in zip(per_depth, scores):
-            scored.append(s)
+    packs = [
+        _pack(model, tokenizer, item, range(len(item.options)), score_full)
+        for item in items
+    ]
+    per_depth = _score_packs(model, params, packs, depths)
     results = []
     for all_scores in per_depth:
         preds = [int(np.argmin(s)) for s in all_scores]

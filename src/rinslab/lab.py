@@ -190,7 +190,8 @@ def _section(raw: dict, section: str, **given):
 def _signature(text: str, where: str, dims: ModelDims) -> Signature:
     try:
         sig = parse_tagged(text)
-        plan_layers_per_block(expand(sig), dims)
+        # checked on the signature: expand() is exponential in the degree
+        plan_layers_per_block(sig, dims)
     except (SignatureParseError, InfeasiblePlanError) as e:
         raise ConfigError(f"{where}: {e}") from None
     return sig

@@ -106,7 +106,8 @@ def layernorm_bwd(dy, cache):
 
 def embed_fwd(tokens, tok_table, pos_table, *, positions=None):
     # tokens: (B, T) int. Position table rows beyond T are simply unused.
-    # positions, when given, are the (T,) rows to read instead of 0..T-1.
+    # positions, when given, are the (T,) or (B, T) rows to read instead of
+    # 0..T-1.
     T = tokens.shape[-1]
     pos = pos_table[:T] if positions is None else pos_table[positions]
     h = tok_table[tokens] + pos
@@ -140,7 +141,7 @@ def _project(x2, p, name):
     return y
 
 
-def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None):
+def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     """Multi-head causal self-attention on a normalized input.
 
     p is the parameter dict; prefix names this layer's tensors, e.g.
@@ -149,34 +150,45 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None):
     here and the projections for k and v are not touched. mask may be a
     (T, T) or (B, 1, T, T) boolean that further restricts attention; the
     causal constraint is always applied.
+
+    rows, a (B, R) int array, computes queries and outputs for those query
+    rows only, so the output is (B, R, d); keys and values still come from
+    every row. It is forward-only: attention_bwd does not take its cache.
     """
     B, T, d = xn.shape
     x2 = xn.reshape(-1, d)
-    q = _project(x2, p, prefix + "q")
+    allow = causal_mask(T)
+    if mask is not None:
+        allow = allow & mask
+    xq = xn
+    if rows is not None:
+        xq = np.take_along_axis(xn, rows[:, :, None], axis=1)
+        allow = np.take_along_axis(
+            np.broadcast_to(allow, (B, 1, T, T)), rows[:, None, :, None], axis=2
+        )
+    Tq = xq.shape[1]
+    q = _project(xq.reshape(-1, d), p, prefix + "q")
     if kv_in is None:
         k = _project(x2, p, prefix + "k").reshape(B, T, d)
         v = _project(x2, p, prefix + "v").reshape(B, T, d)
     else:
         k, v = kv_in
-    qh = _heads(q, B, T, n_heads)
+    qh = _heads(q, B, Tq, n_heads)
     kh = _heads(k, B, T, n_heads)
     vh = _heads(v, B, T, n_heads)
     scale = 1.0 / math.sqrt(d // n_heads)
     # Softmax in place on the scores buffer; masked scores become exp(-inf) = 0.
     probs = qh @ kh.transpose(0, 1, 3, 2)
     probs *= scale
-    allow = causal_mask(T)
-    if mask is not None:
-        allow = allow & mask
     np.copyto(probs, -np.inf, where=~allow)
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     ctx = np.empty_like(q)
-    np.matmul(probs, vh, out=_heads(ctx, B, T, n_heads))
+    np.matmul(probs, vh, out=_heads(ctx, B, Tq, n_heads))
     out = _project(ctx, p, prefix + "out")
     cache = (x2, qh, kh, vh, probs, ctx, kv_in is not None, scale)
-    return out.reshape(B, T, -1), (k, v), cache
+    return out.reshape(B, Tq, -1), (k, v), cache
 
 
 def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):

@@ -72,14 +72,17 @@ class ModelDims:
             )
 
 
-def plan_layers_per_block(plan: ExecutionPlan, dims: ModelDims) -> int:
+def plan_layers_per_block(plan: ExecutionPlan | Signature, dims: ModelDims) -> int:
     """Layers each of the plan's distinct leaf blocks gets: total_layers //
     plan.unique_leaf_count, the leaves the executor builds parameters for.
-    Raises InfeasiblePlanError when that is 0."""
+    Raises InfeasiblePlanError when that is 0. A Signature stands for
+    expand(sig), whose leaf count it gives by arithmetic, so a spec is
+    checked before its plan is built."""
     lpb = dims.total_layers // plan.unique_leaf_count
     if lpb < 1:
+        source = plan if isinstance(plan, Signature) else plan.source
         raise InfeasiblePlanError(
-            f"signature {to_tagged(plan.source)} needs {plan.unique_leaf_count} "
+            f"signature {to_tagged(source)} needs {plan.unique_leaf_count} "
             f"distinct blocks but only {dims.total_layers} layers exist "
             f"(layers_per_block=0)"
         )

@@ -18,7 +18,7 @@ r_max = 1 and always run in full. Three optional mechanisms layer on top:
     executed call produced at the same layer, recomputing only queries, so
     the cache footprint does not grow with rounds.
 
-Adapters and KV sharing need an A^r B signature. Gradients for a shared
+Adapters and KV sharing need a plan that runs A^r B. Gradients for a shared
 block are the sum of the per-call gradients; the backward pass realizes this
 by plain accumulation into one dict keyed by parameter name.
 
@@ -29,7 +29,9 @@ distinct prefix of leaf calls runs once for all of them.
 A training step (loss_and_grads) runs the batch in micro-batches of whole
 sequences and sums their gradients, so it holds the activations of one
 micro-batch, not of the batch. Forward-only calls keep no activations and
-run the batch whole.
+run the batch whole. forward_depths can ask for the logits of chosen rows
+only; then the last layer of each depth's last call runs its queries, MLP
+and head on those rows alone.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .layers import (
     softmax_xent_fwd,
 )
 from .ledger import ModelDims, plan_layers_per_block
-from .signatures import ExecutionPlan, leaf_label, rins_rounds, to_tagged
+from .signatures import ExecutionPlan, leaf_label, to_tagged
 
 __all__ = [
     "RecursionPolicy",
@@ -135,8 +137,8 @@ def adapter_fraction(params: dict) -> dict:
     }
 
 
-# Bytes of the widest per-layer activation one micro-batch of a training
-# step may hold; see RecursiveModel._micro_batches.
+# Bytes of the widest per-layer activation one executor call over a group of
+# sequences may hold; see RecursiveModel.group_size.
 _GROUP_BYTES = 1 << 20
 
 
@@ -162,10 +164,10 @@ class RecursiveModel:
                 f"{to_tagged(plan.source)}: {len(self._eligible)} skip-eligible "
                 f"positions give r_max {1 + len(self._eligible)}"
             )
-        if (policy.kv_share or policy.adapters) and rins_rounds(plan.source) is None:
+        if (policy.kv_share or policy.adapters) and not _is_rins(plan.leaf_sequence):
             raise ValueError(
                 "KV sharing and adapters require an A^r B signature, got "
-                f"{to_tagged(plan.source)}"
+                f"{to_tagged(plan.source)} running leaves {plan.leaf_sequence}"
             )
         self._labels = [leaf_label(i) for i in range(plan.unique_leaf_count)]
 
@@ -263,20 +265,30 @@ class RecursiveModel:
         )
         return logits, info
 
-    def forward_depths(self, params, tokens, depths, allow=None, positions=None):
+    def forward_depths(self, params, tokens, depths, allow=None, positions=None,
+                       rows=None):
         """Logits at every round count in depths, from one executor pass.
 
         Entry i equals forward(params, tokens, rounds=depths[i]) bitwise when
-        allow and positions are None: each distinct prefix of leaf calls runs
-        once and every depth branches off the longest prefix it shares, so
-        A^r B at depths 1..r runs r calls of A and r of B instead of
-        r(r+1)/2 and r. allow is a (T, T) or (B, 1, T, T) boolean ANDed with
-        the causal mask. positions, when given, are the (T,) position-table
-        rows the tokens read instead of 0..T-1; then the largest position,
-        not T, must fit in seq_len. A repeated depth gets the same array.
+        allow, positions and rows are None: each distinct prefix of leaf calls
+        runs once and every depth branches off the longest prefix it shares,
+        so A^r B at depths 1..r runs r calls of A and r of B instead of
+        r(r+1)/2 and r. tokens are (B, T), or (T,) for one sequence. allow is
+        a (T, T) or (B, 1, T, T) boolean ANDed with the causal mask.
+        positions, when given, are the (T,) or (B, T) position-table rows the
+        tokens read instead of 0..T-1; then the largest position, not T, must
+        fit in seq_len. A repeated depth gets the same array.
+
+        rows, a (B, R) int array ((R,) for 1-D tokens), asks for the logits
+        of those query rows only, which come back as (B, R, V). The last
+        layer of each depth's last call then takes keys and values from every
+        row but runs queries, attention output, the MLP and the head on the
+        chosen rows; the result equals the full logits at those rows to float
+        rounding.
         """
         logits, _, _ = self._run(
-            params, tokens, depths, allow, need_tape=False, positions=positions
+            params, tokens, depths, allow, need_tape=False, positions=positions,
+            rows=rows,
         )
         return logits
 
@@ -331,7 +343,8 @@ class RecursiveModel:
 
     # -------------------------------------------------------------- internals
 
-    def _run(self, params, tokens, depths, mask, need_tape, positions=None):
+    def _run(self, params, tokens, depths, mask, need_tape, positions=None,
+             rows=None):
         """Logits, tape and info per entry of depths (a list of round counts).
 
         Logits keep the leading shape of tokens, so 1-D tokens give (T, V).
@@ -340,11 +353,15 @@ class RecursiveModel:
         ids, and each depth resumes from the longest prefix already run.
         Adapter k maps the state entering depth k's last call, so that call
         is never shared. KV sharing state is copied on write, so a call on
-        one branch never feeds another.
+        one branch never feeds another. rows (see forward_depths) trims the
+        last layer of each depth's last call to those rows; that call's
+        state holds only them, so it is never kept as a prefix.
         """
         tokens = np.asarray(tokens)
         batched = tokens[None, :] if tokens.ndim == 1 else tokens
         T = batched.shape[1]
+        if rows is not None:
+            rows = np.reshape(rows, (len(batched), -1))
         span = T if positions is None else int(np.max(positions)) + 1
         if span > self.dims.seq_len:
             raise ValueError(
@@ -374,6 +391,12 @@ class RecursiveModel:
             for ci in range(n, len(seq)):
                 leaf = seq[ci]
                 label = self._labels[leaf]
+                # the layer that runs on the chosen rows only: the last layer
+                # of the depth's last call
+                trim_at = (
+                    self.layers_per_block - 1
+                    if rows is not None and ci == len(seq) - 1 else None
+                )
                 consume = share and (leaf, 0) in first_kv
                 produce = share and not consume
                 if produce:
@@ -389,11 +412,17 @@ class RecursiveModel:
                         h, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"]
                     )
                     kv_in = first_kv[(leaf, l)] if consume else None
+                    # rows passes only where it trims, so a wrapper over the
+                    # positional signature sees every other call unchanged
+                    sel = {"rows": rows} if l == trim_at else {}
                     attn_out, kv, c_attn = attention_fwd(
-                        xn1, params, prefix + "attn.", self.dims.n_heads, kv_in, mask
+                        xn1, params, prefix + "attn.", self.dims.n_heads, kv_in, mask,
+                        **sel,
                     )
                     if produce:
                         first_kv[(leaf, l)] = kv
+                    if sel:
+                        h = np.take_along_axis(h, rows[:, :, None], axis=1)
                     h = h + attn_out
                     xn2, c_ln2 = layernorm_fwd(
                         h, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"]
@@ -407,7 +436,7 @@ class RecursiveModel:
                         {"leaf": leaf, "consume": consume, "layers": layer_records,
                          "adapter": adapted}
                     )
-                if keep and ci < shared:
+                if keep and ci < shared and trim_at is None:
                     states[tuple(seq[:ci + 1])] = (h, first_kv)
             out = self._head(params, h, tape)
             logits[k] = out[0] if tokens.ndim == 1 else out
@@ -445,18 +474,23 @@ class RecursiveModel:
             * self.dtype.itemsize
         )
 
+    def group_size(self, T: int) -> int:
+        """Most whole sequences of length T that one executor call should
+        hold: those whose widest per-layer activation, rows x max(mlp_dim,
+        n_heads * T) x itemsize (the GELU input or the attention scores),
+        fits in _GROUP_BYTES, and at least one. Training micro-batches and
+        batched MCQ scoring both cut their groups by it."""
+        widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
+        return max(1, _GROUP_BYTES // widest)
+
     def _micro_batches(self, tokens):
         """Row slices of whole sequences that loss_and_grads runs one by one.
 
-        A sequence is never split, since attention spans it. A group holds
-        the most sequences whose widest per-layer activation, rows x
-        max(mlp_dim, n_heads * T) x itemsize (the GELU input or the
-        attention scores), fits in _GROUP_BYTES, and at least one; the
-        groups are near-equal. tokens is (B, T).
+        A sequence is never split, since attention spans it. Groups hold at
+        most group_size(T) sequences and are near-equal. tokens is (B, T).
         """
         B, T = tokens.shape
-        widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
-        n = -(-B // max(1, _GROUP_BYTES // widest))
+        n = -(-B // self.group_size(T))
         return [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
 
     def _backward(self, params, tape, dlogits, grads):
@@ -513,6 +547,12 @@ class RecursiveModel:
         dpos = np.zeros_like(params["embed.pos"])
         dpos[:T] = dpos_rows
         _acc(grads, "embed.pos", dpos)
+
+
+def _is_rins(seq) -> bool:
+    """True for an A^r B call sequence: every call but the last on one leaf,
+    the last call on another."""
+    return len(seq) > 1 and set(seq[:-1]) == {seq[0]} and seq[-1] != seq[0]
 
 
 def _mask(segments):

@@ -525,7 +525,7 @@ class TestCmdEval:
         def never(*args, **kwargs):
             raise AssertionError("scored before the rounds were checked")
 
-        monkeypatch.setattr(rinslab.evals, "_score_item", never)
+        monkeypatch.setattr(rinslab.evals, "_score_packs", never)
         ckpt, tasks = byte_checkpoint
         bad = [r for r in rounds if r != 1]
         with pytest.raises(rl.ConfigError, match=str(bad[0]) if bad else "rounds"):

@@ -195,7 +195,7 @@ class TestPackedScoring:
         real = m.forward_depths
 
         def recorded(params, tokens, *args, **kwargs):
-            lengths.append(len(tokens))
+            lengths.append(np.shape(tokens)[-1])  # tokens are (B, T)
             return real(params, tokens, *args, **kwargs)
 
         monkeypatch.setattr(m, "forward_depths", recorded)
@@ -221,6 +221,73 @@ class TestPackedScoring:
         bare = rl.MCQItem("", "", ("ab", "c"), 0)
         with pytest.raises(rl.TemplateError, match="nothing to score for option 1"):
             rl.eval_mcq(m, p, tok, [bare], score_full=True)
+
+
+def _mixed_items():
+    """Items from 2 rendered tokens up to near seq_len 96, in no length order."""
+    rng = np.random.default_rng(11)
+    words = "the a lake froze cat sat on mat moon river stone".split()
+
+    def text(n):
+        return " ".join(rng.choice(words, n))
+
+    items = [rl.MCQItem("a", "", ("b", "c"), 0)]  # "a b": 3 tokens
+    for n in (14, 2, 9, 1, 12, 5):
+        n_opts = int(rng.integers(2, 5))
+        opts = tuple(text(int(rng.integers(1, 3))) for _ in range(n_opts))
+        items.append(rl.MCQItem(text(n), "", opts, 0))
+    items.append(rl.MCQItem("x" * 80, "", ("y" * 14, "z" * 10, "w"), 1))  # 95 tokens
+    items.append(rl.MCQItem("", "", ("ab", "cd"), 1))
+    return items + PACKING_ITEMS
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("score_full", [False, True])
+    @pytest.mark.parametrize(
+        "text,kv_share,adapters", [("AB", False, False), ("A^3B", True, True)],
+    )
+    def test_mixed_lengths_match_per_option_scores(self, dtype, tol, score_full,
+                                                   text, kv_share, adapters):
+        m, p, tok = _packing_model(dtype, text, kv_share, adapters)
+        items = _mixed_items()
+        lengths = {len(tok.encode(rl.render_template(it.style, it, i)))
+                   for it in items for i in range(len(it.options))}
+        assert min(lengths) <= 3 and max(lengths) >= m.dims.seq_len - 2
+        depths = list(range(1, m.policy.r_max + 1))
+        with np.errstate(invalid="raise"):  # a fully masked row would make NaN
+            results = rl.eval_mcq_depths(m, p, tok, items, depths, score_full)
+        for k, res in zip(depths, results):
+            for item, scores in zip(items, res.scores):
+                want = [rl.score_option(m, p, tok, item, i, k, score_full)
+                        for i in range(len(item.options))]
+                np.testing.assert_allclose(scores, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    def test_scores_in_a_group_equal_scores_alone(self, dtype, tol):
+        m, p, tok = _packing_model(dtype, "A^2B", adapters=True)
+        items = _mixed_items()
+        together = rl.eval_mcq_depths(m, p, tok, items, [1, 2])
+        for n, item in enumerate(items):
+            alone = rl.eval_mcq_depths(m, p, tok, [item], [1, 2])
+            for res, one in zip(together, alone):
+                np.testing.assert_allclose(res.scores[n], one.scores[0], rtol=0,
+                                           atol=tol)
+
+    def test_items_share_executor_calls(self, monkeypatch):
+        m, p, tok = _packing_model(np.float32, "A^3B", True, True)
+        items = _mixed_items()
+        calls = []
+        real = m.forward_depths
+
+        def counted(params, tokens, *args, **kwargs):
+            calls.append(np.shape(tokens))
+            return real(params, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(m, "forward_depths", counted)
+        rl.eval_mcq_depths(m, p, tok, items, [1, 2, 3])
+        assert len(calls) < len(items)
+        assert sum(shape[0] for shape in calls) == len(items)
 
 
 class TestEvalLoop:

@@ -1,5 +1,6 @@
 """Parameter and compute accounting against hand-derived sums."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -245,3 +246,25 @@ class TestOneLedger:
         with pytest.raises(rl.ConfigError) as ei:
             rl.parse_run_config(ini)
         assert str(ei.value) == f"signature.value: {message}"
+
+    def test_infeasible_spec_refused_before_expanding(self, monkeypatch):
+        import rinslab.lab as lab_mod
+
+        def no_expand(sig):
+            raise AssertionError(f"expanded {sig}")
+
+        monkeypatch.setattr(lab_mod, "expand", no_expand)
+        # ABCD@d9 has 4**9 = 262144 leaves; expanding it took 0.29 s
+        ini = (
+            "[run]\nname = x\n[signature]\nvalue = ABCD@d9\n"
+            "[model]\nd_model = 8\nn_heads = 2\nmlp_dim = 16\nvocab = 11\n"
+            "seq_len = 5\ntotal_layers = 4\n"
+            "[train]\ntotal_steps = 1\n[corpus]\ntrain = grammar:100\n"
+        )
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            with pytest.raises(rl.ConfigError, match="needs 262144 distinct blocks"):
+                rl.parse_run_config(ini)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.02, times

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rinslab as rl
+from rinslab.ledger import SWEEP_SIGNATURES
 
 
 def make_model(dims, text, degree=1, policy=None, dtype=np.float64):
@@ -47,6 +48,31 @@ class TestConstruction:
             "adapter.2",
         }
         assert np.array_equal(p2["adapter.2"], np.eye(8))
+
+    def test_kv_share_and_adapters_gated_on_the_plan_run(self, tiny_dims):
+        pol = rl.RecursionPolicy(r_max=3, kv_share=True, adapters=True)
+        mask = (False, True, True, False)
+        for label in ("AB", "ABCA"):
+            # ABCA's leaves: rejected whatever the label says
+            plan = rl.ExecutionPlan((0, 1, 2, 0), 3, mask, rl.parse(label))
+            with pytest.raises(ValueError, match=r"A\^r B"):
+                rl.RecursiveModel(tiny_dims, plan, pol)
+            # AAAB's leaves: accepted whatever the label says
+            plan = rl.ExecutionPlan((0, 0, 0, 1), 2, mask, rl.parse(label))
+            assert rl.RecursiveModel(tiny_dims, plan, pol).plan is plan
+
+    def test_expanded_plans_gated_as_their_signature(self):
+        dims = rl.ModelDims(d_model=8, n_heads=2, mlp_dim=16, vocab=11, seq_len=5,
+                            total_layers=64)
+        sigs = list(SWEEP_SIGNATURES) + [rl.parse("A" * r + "B") for r in range(1, 7)]
+        for sig in sigs:
+            r = rl.rins_rounds(sig)
+            pol = rl.RecursionPolicy(r_max=r or 1, kv_share=True, adapters=True)
+            if r is None:
+                with pytest.raises(ValueError, match=r"A\^r B"):
+                    rl.RecursiveModel(dims, rl.expand(sig), pol)
+            else:
+                rl.RecursiveModel(dims, rl.expand(sig), pol)
 
     def test_init_deterministic_and_scaled(self, tiny_dims):
         m = make_model(tiny_dims, "AB")
@@ -351,6 +377,79 @@ class TestForwardDepths:
             m.forward_depths(p, t, [1], positions=np.arange(S + 2))
         with pytest.raises(ValueError, match="seq_len"):
             m.forward_depths(p, t, [1])
+
+
+def _prefix_plan():
+    # Depth 1 runs leaves (0, 1), a prefix of depth 2's (0, 1, 1).
+    return rl.ExecutionPlan((0, 1, 1), 2, (False, True, False), rl.parse("AB"))
+
+
+class TestForwardRows:
+    """forward_depths(rows=) gives the full logits at the chosen rows."""
+
+    @pytest.mark.parametrize("case", ["AB", "A^3B-kv-adapters", "A^2B-adapters",
+                                      "prefix-plan"])
+    def test_rows_equal_full_logits(self, tiny_dims, case):
+        if case == "prefix-plan":
+            m = rl.RecursiveModel(tiny_dims, _prefix_plan(), rl.RecursionPolicy(r_max=2))
+        else:
+            text = case.split("-")[0]
+            pol = rl.RecursionPolicy(r_max=rl.rins_rounds(rl.parse(text)),
+                                     kv_share="kv" in case, adapters="adapters" in case)
+            m = make_model(tiny_dims, text, policy=pol)
+        assert m.layers_per_block == 2  # an untrimmed layer runs before the trimmed one
+        p = m.init_params(5)
+        rng = np.random.default_rng(2)
+        for name in [n for n in p if n.startswith("adapter.")]:
+            p[name] = p[name] + rng.normal(0.0, 0.3, size=p[name].shape)
+        B, T = 3, tiny_dims.seq_len
+        t = rng.integers(0, tiny_dims.vocab, size=(B, T))
+        positions = rng.integers(0, tiny_dims.seq_len, size=(B, T))
+        allow = rng.random((B, 1, T, T)) < 0.6
+        allow[:, 0, np.arange(T), np.arange(T)] = True
+        rows = rng.integers(0, T, size=(B, 3))
+        depths = list(range(1, m.policy.r_max + 1))
+        for order in (depths, depths[::-1], depths + depths):
+            full = m.forward_depths(p, t, order, allow, positions)
+            got = m.forward_depths(p, t, order, allow, positions, rows=rows)
+            for k, f, g in zip(order, full, got):
+                assert g.shape == (B, 3, tiny_dims.vocab)
+                want = np.take_along_axis(f, rows[:, :, None], axis=1)
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-12, err_msg=str(k))
+
+    def test_single_sequence_rows(self, tiny_dims):
+        m = make_model(tiny_dims, "A^2B")
+        p = m.init_params(0)
+        t = np.arange(tiny_dims.seq_len) % tiny_dims.vocab
+        full = m.forward_depths(p, t, [1, 2])
+        got = m.forward_depths(p, t, [1, 2], rows=np.array([4, 0]))
+        for f, g in zip(full, got):
+            assert g.shape == (2, tiny_dims.vocab)
+            np.testing.assert_allclose(g, f[[4, 0]], rtol=0, atol=1e-12)
+
+    def test_trimmed_call_is_never_a_prefix(self, tiny_dims, toks, monkeypatch):
+        import rinslab.model as model_mod
+
+        t, _ = toks
+        m = rl.RecursiveModel(tiny_dims, _prefix_plan(), rl.RecursionPolicy(r_max=2))
+        p = m.init_params(1)
+        calls = []
+        real = model_mod.attention_fwd
+
+        def counted(xn, params, prefix, *args, **kwargs):
+            calls.append((prefix.split(".")[1], "rows" in kwargs))
+            return real(xn, params, prefix, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "attention_fwd", counted)
+        m.forward_depths(p, t, [1, 2])
+        # depth 2 resumes after depth 1's B: one more B call, two layers each
+        assert calls.count(("B", False)) == 2 * 2
+        calls.clear()
+        m.forward_depths(p, t, [1, 2], rows=np.zeros((2, 1), int))
+        # depth 1's B trims its last layer, so depth 2 runs that B again in
+        # full before its own B, which trims too: three B calls, two trimmed
+        assert calls.count(("B", True)) == 2
+        assert calls.count(("B", False)) == 3 * 2 - 2
 
 
 class TestModelGradients:
