@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import ByteTokenizer, segments_from_boundaries
-from .model import RecursiveModel
+from .model import RecursiveModel, _in_order
 
 __all__ = [
     "TemplateError",
@@ -211,8 +211,9 @@ def _score_packs(model, params, packs, depths):
     Packs are ordered by length and cut into groups of at most
     model.group_size(T) sequences, T being the group's longest pack, and
     each group is one forward_depths call over all depths that computes
-    logits for the scored rows only. Within a group every pack is padded to
-    T: real rows never attend to padding, and each padded row attends to
+    logits for the scored rows only; the groups run two at a time, one per
+    lane of the executor's scheduler. Within a group every pack is padded
+    to T: real rows never attend to padding, and each padded row attends to
     itself alone, so no row is fully masked. A pack's scores match scoring
     it alone to float rounding.
     """
@@ -222,8 +223,9 @@ def _score_packs(model, params, packs, depths):
         if len(groups[-1]) >= model.group_size(len(packs[n].tokens)):
             groups.append([])
         groups[-1].append(n)
-    scores = [[None] * len(packs) for _ in depths]
-    for group in groups:
+
+    def score_group(group):
+        """[depth][b]: the requested options' scores of packs[group[b]]."""
         B = len(group)
         T = max(len(packs[n].tokens) for n in group)
         R = max(len(packs[n].rows) for n in group)
@@ -242,14 +244,23 @@ def _score_packs(model, params, packs, depths):
         logits_by_depth = model.forward_depths(
             params, tokens, depths, allow, positions, rows
         )
-        for scored, logits in zip(scores, logits_by_depth):
+        by_depth = []
+        for logits in logits_by_depth:
             m = logits.max(axis=-1, keepdims=True)
             z = logits - m
             logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            by_depth.append([])
             for b, n in enumerate(group):
                 per_opt = [float(-logp[b, idx, ids].mean())
                            for idx, ids in packs[n].gathers]
-                scored[n] = [per_opt[s] for s in packs[n].slots]
+                by_depth[-1].append([per_opt[s] for s in packs[n].slots])
+        return by_depth
+
+    scores = [[None] * len(packs) for _ in depths]
+    for group, by_depth in zip(groups, _in_order(score_group, groups)):
+        for scored, group_scores in zip(scores, by_depth):
+            for n, s in zip(group, group_scores):
+                scored[n] = s
     return scores
 
 

@@ -26,17 +26,24 @@ One executor serves every entry point. It takes a list of round counts:
 training and forward() pass one, forward_depths() several, and then each
 distinct prefix of leaf calls runs once for all of them.
 
-A training step (loss_and_grads) runs the batch in micro-batches of whole
-sequences and sums their gradients, so it holds the activations of one
-micro-batch, not of the batch. Forward-only calls keep no activations and
-run the batch whole. forward_depths can ask for the logits of chosen rows
-only; then the last layer of each depth's last call runs its queries, MLP
-and head on those rows alone.
+A training step (loss_and_grads) and a held-out loss (loss) run the batch
+in micro-batches of whole sequences, and a step sums their gradients, so it
+holds the activations of two micro-batches, not of the batch. The groups of
+one call run two at a time when the process may use two CPUs: the caller
+runs one group while a helper thread runs the next (see _in_order). numpy
+releases the GIL inside BLAS and ufuncs, so the two overlap. Results are
+combined in group order, so they are bitwise the same with or without the
+helper. Forward-only calls keep no layer's activations past that layer.
+forward_depths can ask for the logits of chosen rows only; then the last
+layer of each depth's last call runs its queries, MLP and head on those rows
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,9 +144,13 @@ def adapter_fraction(params: dict) -> dict:
     }
 
 
-# Bytes of the widest per-layer activation one executor call over a group of
-# sequences may hold; see RecursiveModel.group_size.
+# Bytes of the widest per-layer activation that the two groups in flight
+# (see _in_order) may hold together; see RecursiveModel.group_size.
 _GROUP_BYTES = 1 << 20
+
+# Whether _in_order runs a second group on a helper thread: only when this
+# process may run on two CPUs, so `taskset` to one CPU keeps it to one.
+_TWO_LANES = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 class RecursiveModel:
@@ -293,45 +304,51 @@ class RecursiveModel:
         return logits
 
     def loss(self, params, tokens, targets, rounds=None, segments=None) -> float:
-        (logits,), _, _ = self._run(
-            params, tokens, [rounds], _mask(segments), need_tape=False
-        )
-        loss, _ = softmax_xent_fwd(logits, targets)
-        return loss
+        """Mean cross entropy (nats), from the micro-batches loss_and_grads
+        runs, so it equals loss_and_grads's loss bitwise."""
+
+        def group_loss(job):
+            share, tok, tgt, seg = job
+            (logits,), _, _ = self._run(params, tok, [rounds], _mask(seg),
+                                        need_tape=False)
+            return softmax_xent_fwd(logits, tgt)[0] * share
+
+        return sum(_in_order(group_loss, self._jobs(tokens, targets, segments)))
 
     def loss_and_grads(self, params, tokens, targets, rounds=None, segments=None):
         """Mean cross entropy (nats) and gradients for every parameter.
 
         The batch runs in micro-batches of whole sequences (see
-        _micro_batches), each a forward and a backward of its own, so a step
-        holds one micro-batch of activations. Each group's loss and logit
-        gradient are weighted by its share of the tokens, and the gradients
-        are summed over groups. A batch that fits in one group runs exactly
-        as one forward and backward over the whole batch. 1-D tokens are a
-        batch of one sequence.
+        _micro_batches), each a forward and a backward of its own into a
+        gradient dict of its own, two at a time (see _in_order). Each group's
+        loss and logit gradient are weighted by its share of the tokens, and
+        the group dicts are added to the total in group order, each freed as
+        it is added. A batch that fits in one group runs exactly as one
+        forward and backward over the whole batch. 1-D tokens are a batch of
+        one sequence.
 
         Parameters a given execution never touches (other rounds' adapters,
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
         """
-        T = np.shape(tokens)[-1]
-        tokens, targets = np.reshape(tokens, (-1, T)), np.reshape(targets, (-1, T))
-        if segments is not None:
-            segments = np.reshape(segments, (-1, T))
-        loss, grads = 0.0, {}
-        for rows in self._micro_batches(tokens):
-            seg = None if segments is None else segments[rows]
-            (logits,), tape, (info,) = self._run(
-                params, tokens[rows], [rounds], _mask(seg), need_tape=True
-            )
-            group_loss, xc = softmax_xent_fwd(logits, targets[rows])
+
+        def group_grads(job):
+            share, tok, tgt, seg = job
+            (logits,), tape, (info,) = self._run(params, tok, [rounds], _mask(seg),
+                                                 need_tape=True)
+            loss, xc = softmax_xent_fwd(logits, tgt)
             dlogits = softmax_xent_bwd(xc)
-            share = (rows.stop - rows.start) / len(tokens)  # 1.0, exactly, for one group
-            group_loss *= share
             dlogits *= share
-            loss += group_loss
+            grads = {}
             self._backward(params, tape, dlogits, grads)
-            del logits, tape, xc, dlogits  # free this group's tape before the next
+            return loss * share, grads, info
+
+        loss, grads = 0.0, {}
+        jobs = self._jobs(tokens, targets, segments)
+        for group_loss, group, info in _in_order(group_grads, jobs):
+            loss += group_loss
+            _acc_many(grads, group)
+            del group  # hold no group's gradients while the next pair runs
         for name, p in params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(p)
@@ -431,6 +448,8 @@ class RecursiveModel:
                     h = h + mlp_out
                     if need_tape:
                         layer_records.append((prefix, c_ln1, c_attn, c_ln2, c_mlp))
+                    # without a tape, no layer runs with the last one's activations
+                    del xn1, c_ln1, attn_out, kv, c_attn, xn2, c_ln2, mlp_out, c_mlp
                 if need_tape:
                     tape["calls"].append(
                         {"leaf": leaf, "consume": consume, "layers": layer_records,
@@ -478,13 +497,16 @@ class RecursiveModel:
         """Most whole sequences of length T that one executor call should
         hold: those whose widest per-layer activation, rows x max(mlp_dim,
         n_heads * T) x itemsize (the GELU input or the attention scores),
-        fits in _GROUP_BYTES, and at least one. Training micro-batches and
-        batched MCQ scoring both cut their groups by it."""
+        fits in _GROUP_BYTES counted twice, once per group in flight (see
+        _in_order), and at least one. The rule does not depend on whether the
+        helper runs, so neither do the groups nor their results. Micro-batches
+        and batched MCQ scoring both cut their groups by it."""
         widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
-        return max(1, _GROUP_BYTES // widest)
+        return max(1, _GROUP_BYTES // (2 * widest))
 
     def _micro_batches(self, tokens):
-        """Row slices of whole sequences that loss_and_grads runs one by one.
+        """Row slices of whole sequences that loss and loss_and_grads run as
+        groups.
 
         A sequence is never split, since attention spans it. Groups hold at
         most group_size(T) sequences and are near-equal. tokens is (B, T).
@@ -492,6 +514,20 @@ class RecursiveModel:
         B, T = tokens.shape
         n = -(-B // self.group_size(T))
         return [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
+
+    def _jobs(self, tokens, targets, segments):
+        """(share of the tokens, tokens, targets, segments or None) per
+        micro-batch; 1-D arrays are a batch of one sequence."""
+        T = np.shape(tokens)[-1]
+        tokens, targets = np.reshape(tokens, (-1, T)), np.reshape(targets, (-1, T))
+        if segments is not None:
+            segments = np.reshape(segments, (-1, T))
+        return [
+            ((rows.stop - rows.start) / len(tokens),  # 1.0, exactly, for one group
+             tokens[rows], targets[rows],
+             None if segments is None else segments[rows])
+            for rows in self._micro_batches(tokens)
+        ]
 
     def _backward(self, params, tape, dlogits, grads):
         """Accumulate the tape's gradients into grads (name -> array)."""
@@ -547,6 +583,30 @@ class RecursiveModel:
         dpos = np.zeros_like(params["embed.pos"])
         dpos[:T] = dpos_rows
         _acc(grads, "embed.pos", dpos)
+
+
+def _in_order(fn, jobs):
+    """Yield fn(job) for every job in jobs, in order.
+
+    With _TWO_LANES, the jobs run two at a time: the caller runs job i while
+    one helper thread runs job i + 1, and each result is handed over before
+    the next pair starts, so at most two jobs are in flight and no result
+    waits while another pair runs. An exception from either lane propagates
+    as raised once the other lane's job has ended, and the helper never
+    outlives the generator. Fewer than two jobs run on the caller alone and
+    start no thread.
+    """
+    if len(jobs) < 2 or not _TWO_LANES:
+        for job in jobs:
+            yield fn(job)
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(0, len(jobs), 2):
+            ahead = helper.submit(fn, jobs[i + 1]) if i + 1 < len(jobs) else None
+            yield fn(jobs[i])
+            if ahead is not None:
+                yield ahead.result()
+            ahead = None  # the future holds its result until dropped
 
 
 def _is_rins(seq) -> bool:

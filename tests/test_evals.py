@@ -290,6 +290,29 @@ class TestBatchedScoring:
         assert sum(shape[0] for shape in calls) == len(items)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "text,kv_share,adapters", [("AB", False, False), ("A^3B", False, False),
+                                   ("A^3B", True, False), ("A^3B", False, True),
+                                   ("A^3B", True, True)],
+    )
+    def test_helper_on_and_off_bitwise_equal(self, monkeypatch, dtype, text,
+                                             kv_share, adapters):
+        import rinslab.model as model_mod
+
+        m, p, tok = _packing_model(dtype, text, kv_share, adapters)
+        items = _mixed_items()
+        depths = list(range(1, m.policy.r_max + 1))
+        # one item per group (an odd count of groups), then the default groups
+        for group_bytes in (1, model_mod._GROUP_BYTES):
+            monkeypatch.setattr(model_mod, "_GROUP_BYTES", group_bytes)
+            runs = []
+            for on in (False, True):
+                monkeypatch.setattr(model_mod, "_TWO_LANES", on)
+                runs.append(rl.eval_mcq_depths(m, p, tok, items, depths))
+            assert runs[0] == runs[1]
+
+
 class TestEvalLoop:
     def test_accuracy_counts_gold_matches(self, byte_model):
         m, p, tok = byte_model

@@ -506,10 +506,11 @@ class TestMicroBatches:
     @pytest.fixture
     def split(self, monkeypatch):
         # At tiny dims one sequence's widest activation is 5 x 16 x 8 = 640
-        # bytes; room for two sequences splits a batch of 5 into 1, 2, 2.
+        # bytes, counted once per lane; room for two sequences splits a batch
+        # of 5 into 1, 2, 2.
         import rinslab.model as model_mod
 
-        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 1280)
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 2 * 1280)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     @pytest.mark.parametrize("kv_share", [False, True])
@@ -571,7 +572,8 @@ class TestMicroBatches:
         ("A^3B", dict(kv_share=True, adapters=True)),
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_group_loss_is_forward_loss(self, tiny_dims, toks, text, kw, dtype):
+    def test_one_group_loss_is_forward_loss(self, tiny_dims, toks, monkeypatch,
+                                            text, kw, dtype):
         t, u = toks
         pol = rl.RecursionPolicy(r_max=rl.rins_rounds(rl.parse(text)), **kw)
         m = make_model(tiny_dims, text, policy=pol, dtype=dtype)
@@ -581,6 +583,18 @@ class TestMicroBatches:
         for seg in (None, segments):
             assert m.loss_and_grads(p, t, u, segments=seg)[0] == m.loss(
                 p, t, u, segments=seg)
+        # loss runs the groups loss_and_grads runs, so multi-group batches
+        # agree exactly too.
+        import rinslab.model as model_mod
+
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 1)
+        rng = np.random.default_rng(5)
+        t5 = rng.integers(0, tiny_dims.vocab, size=(5, tiny_dims.seq_len))
+        u5 = rng.integers(0, tiny_dims.vocab, size=(5, tiny_dims.seq_len))
+        assert len(m._micro_batches(t5)) == 5
+        for seg in (None, np.cumsum(rng.random(t5.shape) < 0.3, axis=1)):
+            assert m.loss_and_grads(p, t5, u5, segments=seg)[0] == m.loss(
+                p, t5, u5, segments=seg)
 
     def test_group_rule_at_benchmark_shapes(self):
         desk = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
@@ -589,10 +603,10 @@ class TestMicroBatches:
                              seq_len=48, total_layers=4)
         m = make_model(desk, "A^3B", dtype=np.float32)
         groups = m._micro_batches(np.zeros((16, 96), dtype=np.int64))
-        assert [(s.start, s.stop) for s in groups] == [(0, 4), (4, 8), (8, 12), (12, 16)]
-        # Uneven batches get near-equal groups of at most four sequences.
+        assert [(s.start, s.stop) for s in groups] == [(i, i + 2) for i in range(0, 16, 2)]
+        # Uneven batches get near-equal groups of at most two sequences.
         sizes = [s.stop - s.start for s in m._micro_batches(np.zeros((17, 96), int))]
-        assert sum(sizes) == 17 and max(sizes) - min(sizes) <= 1 and max(sizes) <= 4
+        assert sum(sizes) == 17 and max(sizes) - min(sizes) <= 1 and max(sizes) <= 2
         # A sequence wider than the bound still runs, alone.
         wide = make_model(rl.ModelDims(d_model=160, n_heads=4, mlp_dim=4096,
                                        vocab=65, seq_len=96, total_layers=4), "AB")
@@ -603,7 +617,8 @@ class TestMicroBatches:
     def test_step_peak_bounded_by_micro_batch(self):
         import tracemalloc
 
-        # Desk width: four sequences fill one micro-batch, sixteen make four.
+        # Desk width: four sequences fill the two micro-batches in flight,
+        # sixteen make eight.
         dims = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
                             seq_len=96, total_layers=4)
         m = make_model(dims, "AB", dtype=np.float32)
@@ -619,6 +634,119 @@ class TestMicroBatches:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.3 * peaks[0], [x / 2**20 for x in peaks]
+
+
+class TestTwoLanes:
+    """The groups of one call run two at a time, on the caller and on one
+    helper thread, with the same results as one at a time."""
+
+    @pytest.fixture
+    def lanes(self, monkeypatch):
+        # Room for two tiny sequences per group (see TestMicroBatches.split).
+        import rinslab.model as model_mod
+
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 2 * 1280)
+
+        def use(on):
+            monkeypatch.setattr(model_mod, "_TWO_LANES", on)
+
+        return use
+
+    @staticmethod
+    def batch(dims, B, seed, segmented=False):
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, dims.vocab, size=(B, dims.seq_len))
+        u = rng.integers(0, dims.vocab, size=(B, dims.seq_len))
+        seg = np.cumsum(rng.random(t.shape) < 0.3, axis=1) if segmented else None
+        return t, u, seg
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("kv_share", [False, True])
+    @pytest.mark.parametrize("adapters", [False, True])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_helper_on_and_off_bitwise_equal(self, tiny_dims, lanes, dtype, rounds,
+                                             kv_share, adapters, segmented):
+        pol = rl.RecursionPolicy(r_max=3, kv_share=kv_share, adapters=adapters)
+        m = make_model(tiny_dims, "A^3B", policy=pol, dtype=dtype)
+        p = m.init_params(4)
+        rng = np.random.default_rng(rounds)
+        for name in [n for n in p if n.startswith("adapter.")]:
+            p[name] = (p[name] + rng.normal(0.0, 0.3, size=p[name].shape)).astype(dtype)
+        for B in (5, 8):  # three groups (1, 2, 2), then four of two
+            t, u, seg = self.batch(tiny_dims, B, B, segmented)
+            runs = []
+            for on in (False, True):
+                lanes(on)
+                loss, grads, _ = m.loss_and_grads(p, t, u, rounds=rounds, segments=seg)
+                runs.append((loss, grads, m.loss(p, t, u, rounds=rounds, segments=seg)))
+            (loss0, grads0, fwd0), (loss1, grads1, fwd1) = runs
+            assert loss0 == loss1 == fwd0 == fwd1
+            assert set(grads0) == set(grads1) == set(p)
+            for k in p:
+                assert grads1[k].dtype == np.dtype(dtype)
+                assert np.array_equal(grads0[k], grads1[k]), k
+
+    @pytest.mark.parametrize("lane", [0, 1])  # group 0 runs on the caller, 1 on the helper
+    def test_exception_in_either_lane_propagates(self, tiny_dims, lanes, lane):
+        import threading
+        import time
+
+        lanes(True)
+        m = make_model(tiny_dims, "A^3B")
+        p = m.init_params(0)
+        t, u, _ = self.batch(tiny_dims, 5, 0)
+        t[:, 0] = np.arange(5)  # groups (0), (1, 2), (3, 4) start with rows 0, 1, 3
+        group_of = {0: 0, 1: 1, 3: 2}
+        real, err = m._run, RuntimeError(f"lane {lane}")
+        ran, ended = {}, []
+
+        def run(params, tokens, *args, **kwargs):
+            g = group_of[int(tokens[0, 0])]
+            ran[g] = threading.current_thread() is threading.main_thread()
+            if g == lane:
+                raise err
+            time.sleep(0.2)  # the other lane is still busy when the error comes
+            out = real(params, tokens, *args, **kwargs)
+            ended.append(g)
+            return out
+
+        m._run = run
+        before = threading.enumerate()
+        for call in (m.loss_and_grads, m.loss):
+            ran.clear()
+            ended.clear()
+            with pytest.raises(RuntimeError) as ei:
+                call(p, t, u)
+            assert ei.value is err
+            # the first pair ran one group per lane, and the other lane's
+            # group ended before the call returned; no third group started
+            assert ran == {0: True, 1: False}
+            assert ended == [1 - lane]
+            assert threading.enumerate() == before
+
+    def test_one_group_starts_no_thread(self, tiny_dims, lanes, monkeypatch):
+        import threading
+
+        import rinslab.model as model_mod
+
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a helper thread was asked for")
+
+        lanes(True)
+        monkeypatch.setattr(model_mod, "ThreadPoolExecutor", no_helper)
+        m = make_model(tiny_dims, "A^3B")
+        p = m.init_params(0)
+        before = threading.active_count()
+        for B in (1, 2):
+            t, u, _ = self.batch(tiny_dims, B, B)
+            assert len(m._micro_batches(t)) == 1
+            m.loss_and_grads(p, t, u)
+            m.loss(p, t, u)
+        assert threading.active_count() == before
+        t, u, _ = self.batch(tiny_dims, 3, 3)  # two groups do ask for the helper
+        with pytest.raises(AssertionError, match="helper thread"):
+            m.loss(p, t, u)
 
 
 class TestStochasticRounds:
