@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import ByteTokenizer, segments_from_boundaries
-from .model import RecursiveModel, _in_order
+from .model import RecursiveModel
 
 __all__ = [
     "TemplateError",
@@ -211,11 +211,11 @@ def _score_packs(model, params, packs, depths):
     Packs are ordered by length and cut into groups of at most
     model.group_size(T) sequences, T being the group's longest pack, and
     each group is one forward_depths call over all depths that computes
-    logits for the scored rows only; the groups run two at a time, one per
-    lane of the executor's scheduler. Within a group every pack is padded
-    to T: real rows never attend to padding, and each padded row attends to
-    itself alone, so no row is fully masked. A pack's scores match scoring
-    it alone to float rounding.
+    logits for the scored rows only; model.forward_groups runs the groups,
+    two at a time when the process has two lanes. Within a group every pack
+    is padded to T: real rows never attend to padding, and each padded row
+    attends to itself alone, so no row is fully masked. A pack's scores
+    match scoring it alone to float rounding.
     """
     order = sorted(range(len(packs)), key=lambda n: len(packs[n].tokens))
     groups = [[]]
@@ -224,8 +224,7 @@ def _score_packs(model, params, packs, depths):
             groups.append([])
         groups[-1].append(n)
 
-    def score_group(group):
-        """[depth][b]: the requested options' scores of packs[group[b]]."""
+    def batch(group):
         B = len(group)
         T = max(len(packs[n].tokens) for n in group)
         R = max(len(packs[n].rows) for n in group)
@@ -241,26 +240,19 @@ def _score_packs(model, params, packs, depths):
             positions[b, :L] = pack.positions
             allow[b, 0, :L, :L] = pack.allow
             rows[b, :len(pack.rows)] = pack.rows
-        logits_by_depth = model.forward_depths(
-            params, tokens, depths, allow, positions, rows
-        )
-        by_depth = []
-        for logits in logits_by_depth:
+        return tokens, allow, positions, rows
+
+    scores = [[None] * len(packs) for _ in depths]
+    logits_by_group = model.forward_groups(params, groups, depths, batch)
+    for group, logits_by_depth in zip(groups, logits_by_group):
+        for scored, logits in zip(scores, logits_by_depth):
             m = logits.max(axis=-1, keepdims=True)
             z = logits - m
             logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-            by_depth.append([])
             for b, n in enumerate(group):
                 per_opt = [float(-logp[b, idx, ids].mean())
                            for idx, ids in packs[n].gathers]
-                by_depth[-1].append([per_opt[s] for s in packs[n].slots])
-        return by_depth
-
-    scores = [[None] * len(packs) for _ in depths]
-    for group, by_depth in zip(groups, _in_order(score_group, groups)):
-        for scored, group_scores in zip(scores, by_depth):
-            for n, s in zip(group, group_scores):
-                scored[n] = s
+                scored[n] = [per_opt[s] for s in packs[n].slots]
     return scores
 
 

@@ -28,12 +28,13 @@ distinct prefix of leaf calls runs once for all of them.
 
 A training step (loss_and_grads) and a held-out loss (loss) run the batch
 in micro-batches of whole sequences, and a step sums their gradients, so it
-holds the activations of two micro-batches, not of the batch. The groups of
-one call run two at a time when the process may use two CPUs: the caller
-runs one group while a helper thread runs the next (see _in_order). numpy
-releases the GIL inside BLAS and ufuncs, so the two overlap. Results are
-combined in group order, so they are bitwise the same with or without the
-helper. Forward-only calls keep no layer's activations past that layer.
+holds the activations of one micro-batch per lane, not of the batch. The
+process has two lanes when it may use two CPUs and BLAS runs one thread
+(see _LANES); then the caller runs one group while a helper thread runs the
+next (see _in_order), and numpy releases the GIL inside BLAS and ufuncs, so
+the two overlap. Results are combined in group order, so for given groups
+they are bitwise the same with or without the helper. Forward-only calls
+keep no layer's activations past that layer.
 forward_depths can ask for the logits of chosen rows only; then the last
 layer of each depth's last call runs its queries, MLP and head on those rows
 alone.
@@ -49,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import layers as _layers
 from .layers import (
     attention_bwd,
     attention_fwd,
@@ -144,13 +146,31 @@ def adapter_fraction(params: dict) -> dict:
     }
 
 
-# Bytes of the widest per-layer activation that the two groups in flight
-# (see _in_order) may hold together; see RecursiveModel.group_size.
+# Bytes of the widest per-layer activation that the groups in flight (one
+# per lane, see _in_order) may hold together; see RecursiveModel.group_size.
 _GROUP_BYTES = 1 << 20
 
-# Whether _in_order runs a second group on a helper thread: only when this
-# process may run on two CPUs, so `taskset` to one CPU keeps it to one.
-_TWO_LANES = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+def _count_lanes() -> int:
+    """2 when this process may run on two CPUs and the environment pins BLAS
+    to one thread per call, else 1.
+
+    A threaded BLAS already spreads each GEMM over the cores, and a second
+    lane would then oversubscribe them, so it gets one lane, as does a
+    process that `taskset` keeps to one CPU. The first of the variables
+    that OpenBLAS and MKL read that is set decides.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return 1
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(var, "").strip():
+            return 2 if os.environ[var].strip() == "1" else 1
+    return 1
+
+
+# Groups one executor call runs at once (see _in_order); group_size splits
+# _GROUP_BYTES between them.
+_LANES = _count_lanes()
 
 
 class RecursiveModel:
@@ -303,6 +323,22 @@ class RecursiveModel:
         )
         return logits
 
+    def forward_groups(self, params, groups, depths, batch):
+        """Yield, for each group in groups and in order, forward_depths(params,
+        tokens, depths, allow, positions, rows) with (tokens, allow,
+        positions, rows) = batch(group).
+
+        The groups run two at a time when there are two lanes (see
+        _in_order), batch included, so cut them by group_size, whose budget
+        counts one group per lane.
+        """
+
+        def run(group):
+            tokens, allow, positions, rows = batch(group)
+            return self.forward_depths(params, tokens, depths, allow, positions, rows)
+
+        return _in_order(run, groups)
+
     def loss(self, params, tokens, targets, rounds=None, segments=None) -> float:
         """Mean cross entropy (nats), from the micro-batches loss_and_grads
         runs, so it equals loss_and_grads's loss bitwise."""
@@ -319,36 +355,43 @@ class RecursiveModel:
         """Mean cross entropy (nats) and gradients for every parameter.
 
         The batch runs in micro-batches of whole sequences (see
-        _micro_batches), each a forward and a backward of its own into a
-        gradient dict of its own, two at a time (see _in_order). Each group's
-        loss and logit gradient are weighted by its share of the tokens, and
-        the group dicts are added to the total in group order, each freed as
-        it is added. A batch that fits in one group runs exactly as one
-        forward and backward over the whole batch. 1-D tokens are a batch of
-        one sequence.
+        _micro_batches), each a forward and a backward of its own, and each
+        group's loss and logit gradient are weighted by its share of the
+        tokens. On one lane (see _LANES) every group backpropagates into the
+        total. On two, groups run two at a time (see _in_order), each into a
+        gradient dict of its own, and the group dicts are added to the total
+        in group order, each freed as it is added, so the sums do not depend
+        on whether the helper runs. A batch that fits in one group runs
+        exactly as one forward and backward over the whole batch. 1-D tokens
+        are a batch of one sequence.
 
         Parameters a given execution never touches (other rounds' adapters,
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
         """
 
-        def group_grads(job):
+        def group_grads(job, grads):
             share, tok, tgt, seg = job
             (logits,), tape, (info,) = self._run(params, tok, [rounds], _mask(seg),
                                                  need_tape=True)
             loss, xc = softmax_xent_fwd(logits, tgt)
             dlogits = softmax_xent_bwd(xc)
             dlogits *= share
-            grads = {}
             self._backward(params, tape, dlogits, grads)
             return loss * share, grads, info
 
         loss, grads = 0.0, {}
         jobs = self._jobs(tokens, targets, segments)
-        for group_loss, group, info in _in_order(group_grads, jobs):
-            loss += group_loss
-            _acc_many(grads, group)
-            del group  # hold no group's gradients while the next pair runs
+        if _LANES < 2:
+            for job in jobs:
+                group_loss, _, info = group_grads(job, grads)
+                loss += group_loss
+        else:
+            for group_loss, group, info in _in_order(lambda job: group_grads(job, {}),
+                                                     jobs):
+                loss += group_loss
+                _acc_many(grads, group)
+                del group  # hold no group's gradients while the next pair runs
         for name, p in params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(p)
@@ -497,12 +540,12 @@ class RecursiveModel:
         """Most whole sequences of length T that one executor call should
         hold: those whose widest per-layer activation, rows x max(mlp_dim,
         n_heads * T) x itemsize (the GELU input or the attention scores),
-        fits in _GROUP_BYTES counted twice, once per group in flight (see
-        _in_order), and at least one. The rule does not depend on whether the
-        helper runs, so neither do the groups nor their results. Micro-batches
-        and batched MCQ scoring both cut their groups by it."""
+        fits in _GROUP_BYTES counted once per lane, since each lane holds a
+        group (see _in_order), and at least one. So two lanes halve the
+        groups of one lane. Micro-batches and forward_groups (batched MCQ
+        scoring) both cut their groups by it."""
         widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
-        return max(1, _GROUP_BYTES // (2 * widest))
+        return max(1, _GROUP_BYTES // (_LANES * widest))
 
     def _micro_batches(self, tokens):
         """Row slices of whole sequences that loss and loss_and_grads run as
@@ -588,15 +631,16 @@ class RecursiveModel:
 def _in_order(fn, jobs):
     """Yield fn(job) for every job in jobs, in order.
 
-    With _TWO_LANES, the jobs run two at a time: the caller runs job i while
+    With two _LANES, the jobs run two at a time: the caller runs job i while
     one helper thread runs job i + 1, and each result is handed over before
     the next pair starts, so at most two jobs are in flight and no result
     waits while another pair runs. An exception from either lane propagates
     as raised once the other lane's job has ended, and the helper never
-    outlives the generator. Fewer than two jobs run on the caller alone and
-    start no thread.
+    outlives the generator. Fewer than two jobs, one lane, or wrapped layer
+    functions (see _layers_wrapped) run every job on the caller and start no
+    thread.
     """
-    if len(jobs) < 2 or not _TWO_LANES:
+    if len(jobs) < 2 or _LANES < 2 or _layers_wrapped():
         for job in jobs:
             yield fn(job)
         return
@@ -607,6 +651,16 @@ def _in_order(fn, jobs):
             if ahead is not None:
                 yield ahead.result()
             ahead = None  # the future holds its result until dropped
+
+
+def _layers_wrapped() -> bool:
+    """True while a function of the layers module is wrapped (functools.wraps
+    leaves __wrapped__ on the wrapper), as a tracer or profiler wraps them.
+    Such a wrapper may keep state, a stack of open spans say, that calls
+    from two threads at once would interleave, so the groups then run on
+    one lane; the groups, and so the results, stay the same."""
+    return any(callable(f) and hasattr(f, "__wrapped__")
+               for f in vars(_layers).values())
 
 
 def _is_rins(seq) -> bool:

@@ -303,12 +303,14 @@ class TestBatchedScoring:
         m, p, tok = _packing_model(dtype, text, kv_share, adapters)
         items = _mixed_items()
         depths = list(range(1, m.policy.r_max + 1))
-        # one item per group (an odd count of groups), then the default groups
-        for group_bytes in (1, model_mod._GROUP_BYTES):
-            monkeypatch.setattr(model_mod, "_GROUP_BYTES", group_bytes)
+        # one item per group (an odd count of groups), then the default
+        # two-lane groups; the budget is scaled by the lane count so that
+        # only the helper is switched
+        for per_lane in (1, model_mod._GROUP_BYTES // 2):
             runs = []
-            for on in (False, True):
-                monkeypatch.setattr(model_mod, "_TWO_LANES", on)
+            for lanes in (1, 2):
+                monkeypatch.setattr(model_mod, "_LANES", lanes)
+                monkeypatch.setattr(model_mod, "_GROUP_BYTES", lanes * per_lane)
                 runs.append(rl.eval_mcq_depths(m, p, tok, items, depths))
             assert runs[0] == runs[1]
 

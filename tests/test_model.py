@@ -506,11 +506,11 @@ class TestMicroBatches:
     @pytest.fixture
     def split(self, monkeypatch):
         # At tiny dims one sequence's widest activation is 5 x 16 x 8 = 640
-        # bytes, counted once per lane; room for two sequences splits a batch
-        # of 5 into 1, 2, 2.
+        # bytes, counted once per lane; room for two sequences per group
+        # splits a batch of 5 into 1, 2, 2.
         import rinslab.model as model_mod
 
-        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 2 * 1280)
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", model_mod._LANES * 1280)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     @pytest.mark.parametrize("kv_share", [False, True])
@@ -596,17 +596,23 @@ class TestMicroBatches:
             assert m.loss_and_grads(p, t5, u5, segments=seg)[0] == m.loss(
                 p, t5, u5, segments=seg)
 
-    def test_group_rule_at_benchmark_shapes(self):
+    @pytest.mark.parametrize("lanes,most", [(1, 4), (2, 2)])
+    def test_group_rule_at_benchmark_shapes(self, monkeypatch, lanes, most):
+        import rinslab.model as model_mod
+
+        # Two lanes split the budget, so their groups are half as large.
+        monkeypatch.setattr(model_mod, "_LANES", lanes)
         desk = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
                             seq_len=96, total_layers=4)
         quick = rl.ModelDims(d_model=48, n_heads=4, mlp_dim=192, vocab=65,
                              seq_len=48, total_layers=4)
         m = make_model(desk, "A^3B", dtype=np.float32)
         groups = m._micro_batches(np.zeros((16, 96), dtype=np.int64))
-        assert [(s.start, s.stop) for s in groups] == [(i, i + 2) for i in range(0, 16, 2)]
-        # Uneven batches get near-equal groups of at most two sequences.
+        assert [(s.start, s.stop) for s in groups] == [
+            (i, i + most) for i in range(0, 16, most)]
+        # Uneven batches get near-equal groups of at most `most` sequences.
         sizes = [s.stop - s.start for s in m._micro_batches(np.zeros((17, 96), int))]
-        assert sum(sizes) == 17 and max(sizes) - min(sizes) <= 1 and max(sizes) <= 2
+        assert sum(sizes) == 17 and max(sizes) - min(sizes) <= 1 and max(sizes) <= most
         # A sequence wider than the bound still runs, alone.
         wide = make_model(rl.ModelDims(d_model=160, n_heads=4, mlp_dim=4096,
                                        vocab=65, seq_len=96, total_layers=4), "AB")
@@ -614,11 +620,15 @@ class TestMicroBatches:
         q = make_model(quick, "A^3B", dtype=np.float32)
         assert q._micro_batches(np.zeros((8, 48), dtype=np.int64)) == [slice(0, 8)]
 
-    def test_step_peak_bounded_by_micro_batch(self):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_step_peak_bounded_by_micro_batch(self, monkeypatch, lanes):
         import tracemalloc
 
-        # Desk width: four sequences fill the two micro-batches in flight,
-        # sixteen make eight.
+        import rinslab.model as model_mod
+
+        # Desk width: four sequences fill the micro-batches in flight (one
+        # group of four, or one of two per lane); sixteen make four or eight.
+        monkeypatch.setattr(model_mod, "_LANES", lanes)
         dims = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
                             seq_len=96, total_layers=4)
         m = make_model(dims, "AB", dtype=np.float32)
@@ -637,18 +647,22 @@ class TestMicroBatches:
 
 
 class TestTwoLanes:
-    """The groups of one call run two at a time, on the caller and on one
-    helper thread, with the same results as one at a time."""
+    """On two lanes the groups of one call run two at a time, on the caller
+    and on one helper thread, with the same results as the same groups one
+    at a time on the caller."""
 
     @pytest.fixture
     def lanes(self, monkeypatch):
-        # Room for two tiny sequences per group (see TestMicroBatches.split).
+        # Two lanes with room for two tiny sequences per group (see
+        # TestMicroBatches.split); use(False) keeps every group on the
+        # caller, as wrapped layer functions do.
         import rinslab.model as model_mod
 
+        monkeypatch.setattr(model_mod, "_LANES", 2)
         monkeypatch.setattr(model_mod, "_GROUP_BYTES", 2 * 1280)
 
         def use(on):
-            monkeypatch.setattr(model_mod, "_TWO_LANES", on)
+            monkeypatch.setattr(model_mod, "_layers_wrapped", lambda: not on)
 
         return use
 
@@ -747,6 +761,68 @@ class TestTwoLanes:
         t, u, _ = self.batch(tiny_dims, 3, 3)  # two groups do ask for the helper
         with pytest.raises(AssertionError, match="helper thread"):
             m.loss(p, t, u)
+
+
+    @pytest.mark.parametrize("cpus,env,want", [
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset to one CPU
+        (2, {}, 1),  # BLAS picks its own thread count
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (4, {"MKL_NUM_THREADS": " 1 "}, 2),
+    ])
+    def test_lane_count(self, monkeypatch, cpus, env, want):
+        import rinslab.model as model_mod
+
+        monkeypatch.setattr(model_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert model_mod._count_lanes() == want
+
+    def test_wrapped_layers_run_on_one_lane(self, tiny_dims, lanes, monkeypatch):
+        import functools
+        import threading
+
+        import rinslab.layers as layers_mod
+        import rinslab.model as model_mod
+
+        m = make_model(tiny_dims, "A^3B")
+        p = m.init_params(0)
+        t, u, _ = self.batch(tiny_dims, 5, 0)
+        want = m.loss_and_grads(p, t, u)
+        assert not model_mod._layers_wrapped()
+        real = layers_mod.gelu_fwd
+        threads = set()
+
+        @functools.wraps(real)
+        def traced(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(layers_mod, "gelu_fwd", traced)
+        assert model_mod._layers_wrapped()
+        got = m.loss_and_grads(p, t, u)
+        # every group ran on the caller, with the groups and results of two lanes
+        assert threads == {threading.get_ident()}
+        assert got[0] == want[0]
+        for k in p:
+            assert np.array_equal(got[1][k], want[1][k]), k
+
+    def test_forward_groups_yield_in_group_order(self, tiny_dims, lanes):
+        lanes(True)
+        m = make_model(tiny_dims, "A^3B")
+        p = m.init_params(1)
+        t, _, _ = self.batch(tiny_dims, 5, 1)
+        groups = [[0], [1, 2], [3], [4]]
+        got = list(m.forward_groups(p, groups, [1, 3],
+                                    lambda g: (t[g], None, None, None)))
+        assert len(got) == len(groups)
+        for group, by_depth in zip(groups, got):
+            for have, want in zip(by_depth, m.forward_depths(p, t[group], [1, 3])):
+                assert np.array_equal(have, want)
 
 
 class TestStochasticRounds:
