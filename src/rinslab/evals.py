@@ -209,13 +209,15 @@ def _score_packs(model, params, packs, depths):
     depths[d].
 
     Packs are ordered by length and cut into groups of at most
-    model.group_size(T) sequences, T being the group's longest pack, and
-    each group is one forward_depths call over all depths that computes
-    logits for the scored rows only; model.forward_groups runs the groups,
-    two at a time when the process has two lanes. Within a group every pack
-    is padded to T: real rows never attend to padding, and each padded row
-    attends to itself alone, so no row is fully masked. A pack's scores
-    match scoring it alone to float rounding.
+    model.group_size(T) sequences, T being the group's longest pack: the
+    full budget of one lane, whatever the lane count, so the groups and the
+    scores are the same on any machine. Each group is one forward_depths
+    call over all depths that computes logits for the scored rows only;
+    model.forward_groups runs the groups, two at a time when the process
+    has two lanes. Within a group every pack is padded to T: real rows
+    never attend to padding, and each padded row attends to itself alone,
+    so no row is fully masked. A pack's scores match scoring it alone to
+    float rounding.
     """
     order = sorted(range(len(packs)), key=lambda n: len(packs[n].tokens))
     groups = [[]]

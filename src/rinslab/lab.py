@@ -8,7 +8,7 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
 --out-root, default ./runs):
 
     <out_dir>/config.ini       copy of the spec as given
-    <out_dir>/manifest.json    identity, derived values, status (atomic write)
+    <out_dir>/manifest.json    identity, derived values, lanes, status (atomic write)
     <out_dir>/trace.csv        loss trace, one row per step
     <out_dir>/trace.jsonl      same trace with a header record
     <out_dir>/checkpoint.rlab  params + optimizer state + RNG for resume
@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import corpus as corpus_mod
+from . import model as model_mod
 from .checkpoint import load_checkpoint
 from .corpus import ByteTokenizer
 from .evals import eval_mcq_depths, read_task_jsonl, write_results_jsonl
@@ -431,6 +432,12 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
             plan, spec.dims, spec.policy.p_skip
         ),
         "step_cost_full": step_cost(plan, spec.dims),
+        # facts of the process that wrote this manifest, not config: they
+        # schedule the work and change no result, so config_hash leaves
+        # them out
+        "lanes": model_mod._LANES,
+        "blas_threads": {var: os.environ.get(var)
+                         for var in model_mod._BLAS_THREAD_VARS},
         "status": "running",
         "started_at": time.time(),
     }

@@ -28,12 +28,13 @@ distinct prefix of leaf calls runs once for all of them.
 
 A training step (loss_and_grads) and a held-out loss (loss) run the batch
 in micro-batches of whole sequences, and a step sums their gradients, so it
-holds the activations of one micro-batch per lane, not of the batch. The
+holds the activations of one micro-batch per lane, not of the batch. Groups
+are cut by the work alone (see group_size), never by the machine. The
 process has two lanes when it may use two CPUs and BLAS runs one thread
 (see _LANES); then the caller runs one group while a helper thread runs the
 next (see _in_order), and numpy releases the GIL inside BLAS and ufuncs, so
-the two overlap. Results are combined in group order, so for given groups
-they are bitwise the same with or without the helper. Forward-only calls
+the two overlap. Results are combined in group order, so losses, gradients
+and scores are bitwise the same on one lane and on two. Forward-only calls
 keep no layer's activations past that layer.
 forward_depths can ask for the logits of chosen rows only; then the last
 layer of each depth's last call runs its queries, MLP and head on those rows
@@ -146,9 +147,14 @@ def adapter_fraction(params: dict) -> dict:
     }
 
 
-# Bytes of the widest per-layer activation that the groups in flight (one
-# per lane, see _in_order) may hold together; see RecursiveModel.group_size.
+# Bytes of the widest per-layer activation of one forward-only group, which
+# one lane holds in its own core's cache; a training micro-batch holds half
+# as many sequences (see RecursiveModel._micro_batches).
 _GROUP_BYTES = 1 << 20
+
+
+# The thread-count variables OpenBLAS and MKL read; the manifest records them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _count_lanes() -> int:
@@ -157,19 +163,19 @@ def _count_lanes() -> int:
 
     A threaded BLAS already spreads each GEMM over the cores, and a second
     lane would then oversubscribe them, so it gets one lane, as does a
-    process that `taskset` keeps to one CPU. The first of the variables
-    that OpenBLAS and MKL read that is set decides.
+    process that `taskset` keeps to one CPU. The first of _BLAS_THREAD_VARS
+    that is set decides.
     """
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return 1
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in _BLAS_THREAD_VARS:
         if os.environ.get(var, "").strip():
             return 2 if os.environ[var].strip() == "1" else 1
     return 1
 
 
-# Groups one executor call runs at once (see _in_order); group_size splits
-# _GROUP_BYTES between them.
+# Groups one executor call runs at once (see _in_order). It schedules the
+# groups and never decides what they are, so no result depends on it.
 _LANES = _count_lanes()
 
 
@@ -329,8 +335,8 @@ class RecursiveModel:
         positions, rows) = batch(group).
 
         The groups run two at a time when there are two lanes (see
-        _in_order), batch included, so cut them by group_size, whose budget
-        counts one group per lane.
+        _in_order), batch included, and each lane holds one group, so cut
+        them by group_size.
         """
 
         def run(group):
@@ -357,41 +363,36 @@ class RecursiveModel:
         The batch runs in micro-batches of whole sequences (see
         _micro_batches), each a forward and a backward of its own, and each
         group's loss and logit gradient are weighted by its share of the
-        tokens. On one lane (see _LANES) every group backpropagates into the
-        total. On two, groups run two at a time (see _in_order), each into a
-        gradient dict of its own, and the group dicts are added to the total
-        in group order, each freed as it is added, so the sums do not depend
-        on whether the helper runs. A batch that fits in one group runs
-        exactly as one forward and backward over the whole batch. 1-D tokens
-        are a batch of one sequence.
+        tokens. Each group backpropagates into a gradient dict of its own,
+        and the group dicts are added to the total in group order, each
+        freed as it is added; groups run two at a time on two lanes (see
+        _in_order), so the sums are bitwise the same on one lane and on two.
+        A batch that fits in one group runs exactly as one forward and
+        backward over the whole batch. 1-D tokens are a batch of one
+        sequence.
 
         Parameters a given execution never touches (other rounds' adapters,
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
         """
 
-        def group_grads(job, grads):
+        def group_grads(job):
             share, tok, tgt, seg = job
             (logits,), tape, (info,) = self._run(params, tok, [rounds], _mask(seg),
                                                  need_tape=True)
             loss, xc = softmax_xent_fwd(logits, tgt)
             dlogits = softmax_xent_bwd(xc)
             dlogits *= share
+            grads = {}
             self._backward(params, tape, dlogits, grads)
             return loss * share, grads, info
 
         loss, grads = 0.0, {}
         jobs = self._jobs(tokens, targets, segments)
-        if _LANES < 2:
-            for job in jobs:
-                group_loss, _, info = group_grads(job, grads)
-                loss += group_loss
-        else:
-            for group_loss, group, info in _in_order(lambda job: group_grads(job, {}),
-                                                     jobs):
-                loss += group_loss
-                _acc_many(grads, group)
-                del group  # hold no group's gradients while the next pair runs
+        for group_loss, group, info in _in_order(group_grads, jobs):
+            loss += group_loss
+            _acc_many(grads, group)
+            del group  # hold no group's gradients while the next pair runs
         for name, p in params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(p)
@@ -540,22 +541,27 @@ class RecursiveModel:
         """Most whole sequences of length T that one executor call should
         hold: those whose widest per-layer activation, rows x max(mlp_dim,
         n_heads * T) x itemsize (the GELU input or the attention scores),
-        fits in _GROUP_BYTES counted once per lane, since each lane holds a
-        group (see _in_order), and at least one. So two lanes halve the
-        groups of one lane. Micro-batches and forward_groups (batched MCQ
-        scoring) both cut their groups by it."""
+        fits in _GROUP_BYTES, and at least one.
+
+        It reads the work alone, never the lane count, so every machine cuts
+        the same groups. forward_groups (batched MCQ scoring) cuts by it,
+        and each lane holds one such group; micro-batches hold half as many
+        (see _micro_batches)."""
         widest = T * max(self.dims.mlp_dim, self.dims.n_heads * T) * self.dtype.itemsize
-        return max(1, _GROUP_BYTES // (_LANES * widest))
+        return max(1, _GROUP_BYTES // widest)
 
     def _micro_batches(self, tokens):
         """Row slices of whole sequences that loss and loss_and_grads run as
         groups.
 
         A sequence is never split, since attention spans it. Groups hold at
-        most group_size(T) sequences and are near-equal. tokens is (B, T).
+        most half of group_size(T) sequences, and at least one, and are
+        near-equal: the two micro-batches in flight on two lanes together
+        fit one forward-only group's budget, and one lane cuts the same
+        ones. tokens is (B, T).
         """
         B, T = tokens.shape
-        n = -(-B // self.group_size(T))
+        n = -(-B // max(1, self.group_size(T) // 2))
         return [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
 
     def _jobs(self, tokens, targets, segments):
@@ -654,13 +660,15 @@ def _in_order(fn, jobs):
 
 
 def _layers_wrapped() -> bool:
-    """True while a function of the layers module is wrapped (functools.wraps
-    leaves __wrapped__ on the wrapper), as a tracer or profiler wraps them.
-    Such a wrapper may keep state, a stack of open spans say, that calls
-    from two threads at once would interleave, so the groups then run on
-    one lane; the groups, and so the results, stay the same."""
-    return any(callable(f) and hasattr(f, "__wrapped__")
-               for f in vars(_layers).values())
+    """True while a public function of the layers module (one named in its
+    __all__) is wrapped (functools.wraps leaves __wrapped__ on the
+    wrapper), as a tracer or profiler wraps them. Such a wrapper may keep
+    state, a stack of open spans say, that calls from two threads at once
+    would interleave, so the groups then run on one lane; the groups, and
+    so the results, stay the same. Private names are not scanned: a helper
+    cached with functools.lru_cache carries __wrapped__ too."""
+    return any(hasattr(getattr(_layers, name), "__wrapped__")
+               for name in _layers.__all__)
 
 
 def _is_rins(seq) -> bool:

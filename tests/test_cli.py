@@ -286,6 +286,81 @@ class TestCmdRun:
         for k in ref_params:
             assert np.array_equal(ref_params[k], got[k]), k
 
+    def test_manifest_records_lanes_outside_the_hash(self, tmp_path, monkeypatch):
+        import rinslab.model as model_mod
+
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(make_ini())
+        chash = rl.config_hash(rl.parse_run_config(cfg.read_text()))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        for lanes in (1, 2):
+            monkeypatch.setattr(model_mod, "_LANES", lanes)
+            manifest = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"), force=True)
+            assert manifest["lanes"] == lanes
+            assert manifest["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+            assert manifest["blas_threads"]["MKL_NUM_THREADS"] is None
+            assert "OMP_NUM_THREADS" in manifest["blas_threads"]
+            assert manifest["config_hash"] == chash
+
+    @pytest.mark.parametrize("first,then", [(1, 2), (2, 1)])
+    def test_resume_under_other_lane_count_matches_uninterrupted(
+        self, tmp_path, monkeypatch, first, then
+    ):
+        import rinslab.model as model_mod
+
+        # One sequence's widest activation is 16 x 32 x 4 = 2 KiB, and a
+        # micro-batch gets half the budget: batches of 4 run as two groups of
+        # two, which one lane and two would cut differently if the lane count
+        # sized them.
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 4 * 2048)
+        text = make_ini(total_steps=9, eval_line="eval = held=grammar:300")
+        spec = rl.parse_run_config(text)
+
+        monkeypatch.setattr(model_mod, "_LANES", then)
+        cfg_ref = tmp_path / "ref.ini"
+        cfg_ref.write_text(text)
+        rl.cmd_run(cfg_ref, out_root=str(tmp_path / "ref"))
+        ref_dir = tmp_path / "ref" / "demo"
+
+        # steps 1-3 and their checkpoint under `first`, as a killed run
+        # leaves them, then cmd_run resumes under `then`
+        monkeypatch.setattr(model_mod, "_LANES", first)
+        run_dir = tmp_path / "runs" / "demo"
+        run_dir.mkdir(parents=True)
+        model = rl.RecursiveModel(spec.dims, rl.expand(spec.signature), spec.policy)
+        assert len(model._micro_batches(np.zeros((4, 16), int))) == 2
+        params = model.init_params(spec.seed)
+        docs = _resolve_corpus(spec.corpus_train, spec.dims, 0, tmp_path)
+        batches = _batches_for(docs, spec.dims, spec.train_cfg.batch_size)
+        held = _resolve_corpus("grammar:300", spec.dims, 1, tmp_path)
+        evals = {"held": _batches_for(held, spec.dims, spec.train_cfg.batch_size)}
+        head, _ = rl.train(model, params, batches,
+                           dataclasses.replace(spec.train_cfg, total_steps=3),
+                           eval_batches=evals,
+                           checkpoint_path=run_dir / "checkpoint.rlab")
+        (run_dir / "manifest.json").write_text(json.dumps(
+            {"config_hash": rl.config_hash(spec), "status": "running"}))
+        monkeypatch.setattr(model_mod, "_LANES", then)
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(text)
+        assert rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))["final_step"] == 9
+
+        # the resumed trace holds steps 4-9 (a resume drops the steps
+        # before it), and the first run's records and it together are the
+        # uninterrupted trace's records, held-out losses included, bitwise;
+        # the headers differ only in the start and total step
+        head.to_jsonl(tmp_path / "head.jsonl")
+        head_lines = (tmp_path / "head.jsonl").read_text().splitlines()
+        tail_lines = (run_dir / "trace.jsonl").read_text().splitlines()
+        ref_lines = (ref_dir / "trace.jsonl").read_text().splitlines()
+        assert len(ref_lines) == 10 and '"held"' in ref_lines[-1]
+        assert head_lines[1:] + tail_lines[1:] == ref_lines[1:]
+        got = rl.load_checkpoint(run_dir / "checkpoint.rlab").params
+        want = rl.load_checkpoint(ref_dir / "checkpoint.rlab").params
+        for k in want:
+            assert np.array_equal(want[k], got[k]), k
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINSLAB_OUT_ROOT", str(tmp_path / "envruns"))
         cfg = tmp_path / "demo.ini"

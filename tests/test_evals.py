@@ -303,14 +303,16 @@ class TestBatchedScoring:
         m, p, tok = _packing_model(dtype, text, kv_share, adapters)
         items = _mixed_items()
         depths = list(range(1, m.policy.r_max + 1))
-        # one item per group (an odd count of groups), then the default
-        # two-lane groups; the budget is scaled by the lane count so that
-        # only the helper is switched
-        for per_lane in (1, model_mod._GROUP_BYTES // 2):
+        # one item per group (an odd count of groups), groups of a few
+        # items (three at seq_len), then the default groups; the lane count
+        # only switches the helper, so the groups and the scores are the
+        # same on one lane and on two
+        widest = m.dims.seq_len * m.dims.n_heads * m.dims.seq_len * m.dtype.itemsize
+        for budget in (1, 3 * widest, model_mod._GROUP_BYTES):
+            monkeypatch.setattr(model_mod, "_GROUP_BYTES", budget)
             runs = []
             for lanes in (1, 2):
                 monkeypatch.setattr(model_mod, "_LANES", lanes)
-                monkeypatch.setattr(model_mod, "_GROUP_BYTES", lanes * per_lane)
                 runs.append(rl.eval_mcq_depths(m, p, tok, items, depths))
             assert runs[0] == runs[1]
 

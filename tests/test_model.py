@@ -506,11 +506,11 @@ class TestMicroBatches:
     @pytest.fixture
     def split(self, monkeypatch):
         # At tiny dims one sequence's widest activation is 5 x 16 x 8 = 640
-        # bytes, counted once per lane; room for two sequences per group
-        # splits a batch of 5 into 1, 2, 2.
+        # bytes, and a micro-batch gets half the budget; room for two
+        # sequences per group splits a batch of 5 into 1, 2, 2.
         import rinslab.model as model_mod
 
-        monkeypatch.setattr(model_mod, "_GROUP_BYTES", model_mod._LANES * 1280)
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 2 * 1280)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     @pytest.mark.parametrize("kv_share", [False, True])
@@ -596,12 +596,13 @@ class TestMicroBatches:
             assert m.loss_and_grads(p, t5, u5, segments=seg)[0] == m.loss(
                 p, t5, u5, segments=seg)
 
-    @pytest.mark.parametrize("lanes,most", [(1, 4), (2, 2)])
-    def test_group_rule_at_benchmark_shapes(self, monkeypatch, lanes, most):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_group_rule_at_benchmark_shapes(self, monkeypatch, lanes):
         import rinslab.model as model_mod
 
-        # Two lanes split the budget, so their groups are half as large.
+        # Micro-batches get half the budget on any lane count: one partition.
         monkeypatch.setattr(model_mod, "_LANES", lanes)
+        most = 2
         desk = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
                             seq_len=96, total_layers=4)
         quick = rl.ModelDims(d_model=48, n_heads=4, mlp_dim=192, vocab=65,
@@ -626,8 +627,9 @@ class TestMicroBatches:
 
         import rinslab.model as model_mod
 
-        # Desk width: four sequences fill the micro-batches in flight (one
-        # group of four, or one of two per lane); sixteen make four or eight.
+        # Desk width: micro-batches hold two sequences on any lane count, so
+        # four sequences fill the two in flight on two lanes; sixteen make
+        # eight.
         monkeypatch.setattr(model_mod, "_LANES", lanes)
         dims = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
                             seq_len=96, total_layers=4)
@@ -653,7 +655,7 @@ class TestTwoLanes:
 
     @pytest.fixture
     def lanes(self, monkeypatch):
-        # Two lanes with room for two tiny sequences per group (see
+        # Two lanes, and room for two tiny sequences per micro-batch (see
         # TestMicroBatches.split); use(False) keeps every group on the
         # caller, as wrapped layer functions do.
         import rinslab.model as model_mod
@@ -811,6 +813,23 @@ class TestTwoLanes:
         for k in p:
             assert np.array_equal(got[1][k], want[1][k]), k
 
+    def test_cached_private_helper_is_not_a_wrapped_layer(self, monkeypatch):
+        import functools
+
+        import rinslab.layers as layers_mod
+        import rinslab.model as model_mod
+
+        # lru_cache sets __wrapped__ too; a cached private helper must not
+        # put every group on one lane
+        cached = functools.lru_cache(maxsize=None)(lambda n: n)
+        assert hasattr(cached, "__wrapped__")
+        monkeypatch.setattr(layers_mod, "_cached_mask", cached, raising=False)
+        assert not model_mod._layers_wrapped()
+        real = layers_mod.gelu_fwd
+        monkeypatch.setattr(layers_mod, "gelu_fwd",
+                            functools.wraps(real)(lambda *a, **k: real(*a, **k)))
+        assert model_mod._layers_wrapped()
+
     def test_forward_groups_yield_in_group_order(self, tiny_dims, lanes):
         lanes(True)
         m = make_model(tiny_dims, "A^3B")
@@ -823,6 +842,41 @@ class TestTwoLanes:
         for group, by_depth in zip(groups, got):
             for have, want in zip(by_depth, m.forward_depths(p, t[group], [1, 3])):
                 assert np.array_equal(have, want)
+
+
+class TestLaneIndependence:
+    """The lane count schedules groups and never decides them, so a step's
+    arithmetic is the same on one lane and on two."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("text", ["AB", "A^3B"])
+    @pytest.mark.parametrize("kv_share", [False, True])
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_desk_shape_bitwise_equal(self, monkeypatch, dtype, text, kv_share,
+                                      adapters):
+        import rinslab.model as model_mod
+
+        desk = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
+                            seq_len=96, total_layers=4)
+        pol = rl.RecursionPolicy(r_max=rl.rins_rounds(rl.parse(text)),
+                                 kv_share=kv_share, adapters=adapters)
+        m = make_model(desk, text, policy=pol, dtype=dtype)
+        p = m.init_params(3)
+        rng = np.random.default_rng(11)
+        t = rng.integers(0, desk.vocab, size=(16, desk.seq_len))
+        u = rng.integers(0, desk.vocab, size=(16, desk.seq_len))
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(model_mod, "_LANES", lanes)
+            # groups of two float32 sequences, or of one float64
+            assert len(m._micro_batches(t)) == 16 // (8 // m.dtype.itemsize)
+            loss, grads, _ = m.loss_and_grads(p, t, u)
+            runs.append((loss, grads, m.loss(p, t, u)))
+        (loss1, grads1, fwd1), (loss2, grads2, fwd2) = runs
+        assert loss1 == loss2 == fwd1 == fwd2
+        assert set(grads1) == set(grads2) == set(p)
+        for k in p:
+            assert np.array_equal(grads1[k], grads2[k]), k
 
 
 class TestStochasticRounds:
