@@ -8,8 +8,15 @@ run to run, so flags are reported, never asserted.
 
 Default configuration: ~1.3M parameters, a 20,000-step baseline budget.
 Expect hours on one CPU core (the launch banner prints a measured
-estimate; a threaded BLAS helps a lot). Interrupted runs resume from the
-last eval-cadence checkpoint: rerun the same command. Completed runs are
+estimate). On two CPUs, run with OPENBLAS_NUM_THREADS=1: the process then
+has two lanes and runs two micro-batches at once. Micro-batches are the
+same on every host, so results are bitwise the same however the process
+runs; a threaded BLAS, which runs them one after another, pays for that.
+At the bench's desk shape on two CPUs, a step with OpenBLAS at its default
+two threads took 4-9% longer than with micro-batches twice as large, and
+two lanes took AB 200-220 ms and AAAB 365-450 ms per step against 265-300
+and 410-545 ms for the threaded BLAS. Interrupted runs resume from the last
+eval-cadence checkpoint: rerun the same command. Completed runs are
 skipped entirely, so a finished sweep re-reports in seconds.
 
 --quick drops to a ~150k-parameter, 1,500-step version of the same

@@ -105,15 +105,26 @@ def _check_size(path, expected: int, actual: int):
         )
 
 
+def _read_header(f, path, size: int) -> tuple[int, dict]:
+    """The header length and the header of the checkpoint open as f."""
+    magic = f.read(8)
+    if magic != _MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+    hlen = int.from_bytes(f.read(8), "little")
+    _check_size(path, 16 + hlen, size)
+    return hlen, json.loads(f.read(hlen).decode("utf-8"))
+
+
+def _saved_step(path) -> int:
+    """The step a checkpoint was saved at, read from its header alone."""
+    with open(path, "rb") as f:
+        return int(_read_header(f, path, os.fstat(f.fileno()).st_size)[1]["step"])
+
+
 def load_checkpoint(path) -> CheckpointData:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        hlen = int.from_bytes(f.read(8), "little")
-        _check_size(path, 16 + hlen, size)
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        hlen, header = _read_header(f, path, size)
         if header["arrays"]:
             last = header["arrays"][-1]
             nbytes = np.dtype(last["dtype"]).itemsize * int(np.prod(last["shape"]))

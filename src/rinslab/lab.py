@@ -8,7 +8,7 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
 --out-root, default ./runs):
 
     <out_dir>/config.ini       copy of the spec as given
-    <out_dir>/manifest.json    identity, derived values, lanes, status (atomic write)
+    <out_dir>/manifest.json    identity, derived values, processes, status (atomic write)
     <out_dir>/trace.csv        loss trace, one row per step
     <out_dir>/trace.jsonl      same trace with a header record
     <out_dir>/checkpoint.rlab  params + optimizer state + RNG for resume
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model as model_mod
-from .checkpoint import load_checkpoint
+from .checkpoint import _saved_step, load_checkpoint
 from .corpus import ByteTokenizer
 from .evals import eval_mcq_depths, read_task_jsonl, write_results_jsonl
 from .ledger import (
@@ -408,9 +408,20 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
             raise ConfigError(f"corpus.eval: {ref!r} yields no batches")
         eval_batches[ename] = got
 
-    resume_from = None
+    # Facts of each process that trained this run, not config: they schedule
+    # the work and change no result, so config_hash leaves them out. A
+    # resume keeps the entries of the processes whose steps it continues;
+    # each entry covers the steps up to the next one's from_step.
+    resume_from, from_step, processes = None, 0, []
     if ckpt_path.exists() and old is not None and old.get("config_hash") == chash:
         resume_from = str(ckpt_path)
+        from_step = _saved_step(ckpt_path)
+        processes = [e for e in old.get("processes", []) if e["from_step"] < from_step]
+    processes.append({
+        "from_step": from_step,
+        "lanes": model_mod._LANES,
+        "blas_threads": {var: os.environ.get(var) for var in model_mod._BLAS_THREAD_VARS},
+    })
 
     manifest = {
         "name": spec.name,
@@ -432,12 +443,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
             plan, spec.dims, spec.policy.p_skip
         ),
         "step_cost_full": step_cost(plan, spec.dims),
-        # facts of the process that wrote this manifest, not config: they
-        # schedule the work and change no result, so config_hash leaves
-        # them out
-        "lanes": model_mod._LANES,
-        "blas_threads": {var: os.environ.get(var)
-                         for var in model_mod._BLAS_THREAD_VARS},
+        "processes": processes,
         "status": "running",
         "started_at": time.time(),
     }

@@ -297,16 +297,18 @@ class TestCmdRun:
         for lanes in (1, 2):
             monkeypatch.setattr(model_mod, "_LANES", lanes)
             manifest = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"), force=True)
-            assert manifest["lanes"] == lanes
-            assert manifest["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
-            assert manifest["blas_threads"]["MKL_NUM_THREADS"] is None
-            assert "OMP_NUM_THREADS" in manifest["blas_threads"]
+            (process,) = manifest["processes"]
+            assert process["from_step"] == 0 and process["lanes"] == lanes
+            assert process["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+            assert process["blas_threads"]["MKL_NUM_THREADS"] is None
+            assert "OMP_NUM_THREADS" in process["blas_threads"]
             assert manifest["config_hash"] == chash
 
     @pytest.mark.parametrize("first,then", [(1, 2), (2, 1)])
     def test_resume_under_other_lane_count_matches_uninterrupted(
         self, tmp_path, monkeypatch, first, then
     ):
+        import rinslab.lab as lab_mod
         import rinslab.model as model_mod
 
         # One sequence's widest activation is 16 x 32 x 4 = 2 KiB, and a
@@ -316,6 +318,8 @@ class TestCmdRun:
         monkeypatch.setattr(model_mod, "_GROUP_BYTES", 4 * 2048)
         text = make_ini(total_steps=9, eval_line="eval = held=grammar:300")
         spec = rl.parse_run_config(text)
+        model = rl.RecursiveModel(spec.dims, rl.expand(spec.signature), spec.policy)
+        assert len(model._micro_batches(np.zeros((4, 16), int))) == 2
 
         monkeypatch.setattr(model_mod, "_LANES", then)
         cfg_ref = tmp_path / "ref.ini"
@@ -323,34 +327,36 @@ class TestCmdRun:
         rl.cmd_run(cfg_ref, out_root=str(tmp_path / "ref"))
         ref_dir = tmp_path / "ref" / "demo"
 
-        # steps 1-3 and their checkpoint under `first`, as a killed run
-        # leaves them, then cmd_run resumes under `then`
+        # cmd_run under `first` is killed after steps 1-3 and their
+        # checkpoint, then cmd_run resumes under `then`
+        real_train = lab_mod.train
+        heads = []
+
+        def killed_after_step_3(model, params, batches, cfg, **kw):
+            heads.append(real_train(model, params, batches,
+                                    dataclasses.replace(cfg, total_steps=3), **kw)[0])
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(lab_mod, "train", killed_after_step_3)
         monkeypatch.setattr(model_mod, "_LANES", first)
-        run_dir = tmp_path / "runs" / "demo"
-        run_dir.mkdir(parents=True)
-        model = rl.RecursiveModel(spec.dims, rl.expand(spec.signature), spec.policy)
-        assert len(model._micro_batches(np.zeros((4, 16), int))) == 2
-        params = model.init_params(spec.seed)
-        docs = _resolve_corpus(spec.corpus_train, spec.dims, 0, tmp_path)
-        batches = _batches_for(docs, spec.dims, spec.train_cfg.batch_size)
-        held = _resolve_corpus("grammar:300", spec.dims, 1, tmp_path)
-        evals = {"held": _batches_for(held, spec.dims, spec.train_cfg.batch_size)}
-        head, _ = rl.train(model, params, batches,
-                           dataclasses.replace(spec.train_cfg, total_steps=3),
-                           eval_batches=evals,
-                           checkpoint_path=run_dir / "checkpoint.rlab")
-        (run_dir / "manifest.json").write_text(json.dumps(
-            {"config_hash": rl.config_hash(spec), "status": "running"}))
-        monkeypatch.setattr(model_mod, "_LANES", then)
         cfg = tmp_path / "demo.ini"
         cfg.write_text(text)
-        assert rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))["final_step"] == 9
+        with pytest.raises(RuntimeError, match="killed"):
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        monkeypatch.setattr(lab_mod, "train", real_train)
+        monkeypatch.setattr(model_mod, "_LANES", then)
+        resumed = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        assert resumed["final_step"] == 9
+        # the manifest keeps the killed process's entry and adds the resume's
+        assert [(e["from_step"], e["lanes"]) for e in resumed["processes"]] == [
+            (0, first), (3, then)]
 
         # the resumed trace holds steps 4-9 (a resume drops the steps
         # before it), and the first run's records and it together are the
         # uninterrupted trace's records, held-out losses included, bitwise;
         # the headers differ only in the start and total step
-        head.to_jsonl(tmp_path / "head.jsonl")
+        run_dir = tmp_path / "runs" / "demo"
+        heads[0].to_jsonl(tmp_path / "head.jsonl")
         head_lines = (tmp_path / "head.jsonl").read_text().splitlines()
         tail_lines = (run_dir / "trace.jsonl").read_text().splitlines()
         ref_lines = (ref_dir / "trace.jsonl").read_text().splitlines()

@@ -621,22 +621,20 @@ class TestMicroBatches:
         q = make_model(quick, "A^3B", dtype=np.float32)
         assert q._micro_batches(np.zeros((8, 48), dtype=np.int64)) == [slice(0, 8)]
 
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_step_peak_bounded_by_micro_batch(self, monkeypatch, lanes):
+    @staticmethod
+    def _step_peaks(monkeypatch, lanes, batches):
+        """tracemalloc peaks of desk-width AB steps, one per batch size."""
         import tracemalloc
 
         import rinslab.model as model_mod
 
-        # Desk width: micro-batches hold two sequences on any lane count, so
-        # four sequences fill the two in flight on two lanes; sixteen make
-        # eight.
         monkeypatch.setattr(model_mod, "_LANES", lanes)
         dims = rl.ModelDims(d_model=160, n_heads=4, mlp_dim=640, vocab=65,
                             seq_len=96, total_layers=4)
         m = make_model(dims, "AB", dtype=np.float32)
         p = m.init_params(0)
         peaks = []
-        for batch in (4, 16):
+        for batch in batches:
             t = np.zeros((batch, dims.seq_len), dtype=np.int64)
             tracemalloc.start()
             try:
@@ -645,7 +643,26 @@ class TestMicroBatches:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
+        return p, peaks
+
+    def test_step_peak_bounded_by_micro_batch(self, monkeypatch):
+        # Desk width: micro-batches hold two sequences, so four sequences
+        # make two and sixteen make eight. One lane runs them one at a time,
+        # so the peak does not depend on thread timing.
+        _, peaks = self._step_peaks(monkeypatch, 1, (4, 16))
         assert peaks[1] <= 1.3 * peaks[0], [x / 2**20 for x in peaks]
+
+    def test_two_lanes_hold_at_most_two_micro_batches(self, monkeypatch):
+        # Two lanes run two micro-batches at once. However they overlap, the
+        # step holds the gradient total and two micro-batches' own peaks,
+        # each a one-group step's (two sequences, run on the caller alone),
+        # plus the helper thread's and the groups' small Python objects,
+        # which 256 KiB covers; a third micro-batch would add about 17 MiB.
+        p, (one_group,) = self._step_peaks(monkeypatch, 1, (2,))
+        _, (two_lanes,) = self._step_peaks(monkeypatch, 2, (16,))
+        total = sum(v.nbytes for v in p.values())
+        assert two_lanes <= total + 2 * one_group + 2**18, [
+            x / 2**20 for x in (two_lanes, total, one_group)]
 
 
 class TestTwoLanes:
@@ -862,14 +879,16 @@ class TestLaneIndependence:
                                  kv_share=kv_share, adapters=adapters)
         m = make_model(desk, text, policy=pol, dtype=dtype)
         p = m.init_params(3)
+        # Four sequences are two micro-batches in float32 and four in
+        # float64, enough for a pair on two lanes; the batch of sixteen is
+        # pinned by TestMicroBatches::test_group_rule_at_benchmark_shapes.
         rng = np.random.default_rng(11)
-        t = rng.integers(0, desk.vocab, size=(16, desk.seq_len))
-        u = rng.integers(0, desk.vocab, size=(16, desk.seq_len))
+        t = rng.integers(0, desk.vocab, size=(4, desk.seq_len))
+        u = rng.integers(0, desk.vocab, size=(4, desk.seq_len))
         runs = []
         for lanes in (1, 2):
             monkeypatch.setattr(model_mod, "_LANES", lanes)
-            # groups of two float32 sequences, or of one float64
-            assert len(m._micro_batches(t)) == 16 // (8 // m.dtype.itemsize)
+            assert len(m._micro_batches(t)) == 4 // (8 // m.dtype.itemsize)
             loss, grads, _ = m.loss_and_grads(p, t, u)
             runs.append((loss, grads, m.loss(p, t, u)))
         (loss1, grads1, fwd1), (loss2, grads2, fwd2) = runs
