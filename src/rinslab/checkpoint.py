@@ -2,9 +2,14 @@
 
 Layout: 8-byte magic, uint64 header length, UTF-8 JSON header, then the
 arrays' bytes back to back in header order. The header records dims,
-signature, policy, step, dtype, an array index (name, dtype, shape, offset),
-and an opaque `extra` dict the training loop uses for optimizer step count,
-RNG states, and stream position, so a resumed run continues bit-for-bit.
+signature, policy, step, dtype, an array index (name, dtype, shape, offset,
+and the zlib.crc32 of the array's bytes), and an opaque `extra` dict the
+training loop uses for the trace so far and the rounds RNG state, so a
+resumed run continues bit-for-bit. A file cut short, a file written before
+arrays carried checksums, or an array whose bytes fail their checksum is
+refused with a ValueError that names it. The JSON header itself, `extra`
+included, carries no checksum; a damaged header is caught only where it no
+longer parses or no longer matches the file's size.
 The file is written to a temporary path, synced to disk, then renamed over
 the target, so a crash leaves either the old checkpoint or the new one.
 """
@@ -13,6 +18,8 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -43,6 +50,19 @@ def _dtype_tag(arr: np.ndarray) -> str:
     return {"float32": "<f4", "float64": "<f8"}[str(arr.dtype)]
 
 
+@contextmanager
+def _atomic_open(path, mode: str):
+    """Open a temporary file beside path for writing. On a clean exit the
+    file is flushed, synced to disk, then renamed over path, so a crash
+    leaves either the old file or the new one, never part of one."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+        yield f
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
 def save_checkpoint(
     path,
     dims: ModelDims,
@@ -62,17 +82,20 @@ def save_checkpoint(
 
     index = []
     offset = 0
+    data = []
     for name, arr in arrays:
-        nbytes = arr.size * arr.itemsize
+        raw = np.ascontiguousarray(arr).astype(_dtype_tag(arr), copy=False)
         index.append(
             {
                 "name": name,
                 "dtype": _dtype_tag(arr),
                 "shape": list(arr.shape),
                 "offset": offset,
+                "crc32": zlib.crc32(raw),
             }
         )
-        offset += nbytes
+        data.append(raw)
+        offset += raw.nbytes
 
     dtype = str(next(iter(params.values())).dtype) if params else "float32"
     header = {
@@ -86,16 +109,12 @@ def save_checkpoint(
     }
     blob = json.dumps(header).encode("utf-8")
 
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(len(blob).to_bytes(8, "little"))
         f.write(blob)
-        for _, arr in arrays:
-            f.write(np.ascontiguousarray(arr).astype(_dtype_tag(arr), copy=False).tobytes())
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+        for raw in data:
+            f.write(raw)
 
 
 def _check_size(path, expected: int, actual: int):
@@ -130,6 +149,7 @@ def load_checkpoint(path) -> CheckpointData:
             nbytes = np.dtype(last["dtype"]).itemsize * int(np.prod(last["shape"]))
             _check_size(path, 16 + hlen + last["offset"] + nbytes, size)
         payload = f.read()
+    view = memoryview(payload)
 
     params: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
@@ -139,10 +159,14 @@ def load_checkpoint(path) -> CheckpointData:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        arr = np.frombuffer(
-            payload, dtype=dt, count=count, offset=start
-        ).reshape(shape).copy()
         name = entry["name"]
+        raw = view[start:start + count * dt.itemsize]
+        if "crc32" not in entry:
+            raise ValueError(f"checkpoint {path} predates per-array checksums; "
+                             f"recreate it with `rinslab run --force`")
+        if zlib.crc32(raw) != entry["crc32"]:
+            raise ValueError(f"corrupt checkpoint {path}: array {name!r} fails its checksum")
+        arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
         if name.startswith("adam.m."):
             adam_m[name[len("adam.m."):]] = arr
         elif name.startswith("adam.v."):

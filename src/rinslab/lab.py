@@ -11,7 +11,7 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
     <out_dir>/manifest.json    identity, derived values, processes, status (atomic write)
     <out_dir>/trace.csv        loss trace, one row per step
     <out_dir>/trace.jsonl      same trace with a header record
-    <out_dir>/checkpoint.rlab  params + optimizer state + RNG for resume
+    <out_dir>/checkpoint.rlab  params, optimizer state, trace so far and RNG for resume
 
 Corpus references are either a path to a .tokens file or "grammar:N[:seed]"
 for N tokens of the house grammar. Train references default to seed 0 and
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import model as model_mod
-from .checkpoint import _saved_step, load_checkpoint
+from .checkpoint import _atomic_open, _saved_step, load_checkpoint
 from .corpus import ByteTokenizer
 from .evals import eval_mcq_depths, read_task_jsonl, write_results_jsonl
 from .ledger import (
@@ -355,12 +355,8 @@ def output_root(cli_value: Optional[str] = None) -> Path:
 
 
 def _write_json_atomic(path: Path, obj: dict):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
+    with _atomic_open(path, "w") as f:
         f.write(json.dumps(obj, indent=2, sort_keys=True))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) -> dict:

@@ -7,9 +7,11 @@ sums layer_pass_cost of the calls each step executed. Divergence (loss
 above 10x the first step's loss) and non-finite gradients abort the run
 early with the partial trace marked aborted rather than raising.
 
-Resume restores parameters, Adam moments, the rounds RNG state, and the
-batch cursor from a checkpoint, so a resumed run reproduces the uninterrupted
-one bit for bit.
+A checkpoint carries the trace up to its step and the rounds RNG state next
+to the parameters and Adam moments. Resume restores those and derives the
+rest from them and the step (cumulative compute, the first step's loss, the
+next batch), so a resumed run reproduces the uninterrupted one bit for bit,
+trace included.
 """
 
 from __future__ import annotations
@@ -118,10 +120,12 @@ def train(
     batches cycle when exhausted (logged once). Evaluation runs every
     cfg.eval_interval steps and at the final step, at the policy's inference
     round count. With checkpoint_path, a checkpoint is written at the same
-    cadence and at the end; it carries everything resume needs, so a run
-    resumed from that path continues from the stored step with identical
-    arithmetic. After an abort the final checkpoint is the state after the
-    last completed step, since the aborted step updated nothing.
+    cadence and at the end; it carries the trace so far and the rounds RNG,
+    so a run resumed from that path continues from the stored step with
+    identical arithmetic and returns the whole trace from step 1. A
+    checkpoint without a trace is refused. After an abort the final
+    checkpoint is the state after the last completed step, since the aborted
+    step updated nothing.
     """
     if not batches:
         raise ValueError("no training batches")
@@ -129,44 +133,38 @@ def train(
     policy = model.policy
     expected_step_cost = expected_stochastic_cost(model.plan, model.dims, policy.p_skip)
 
-    start_step = 0
-    cum_compute = 0.0
-    initial_loss: Optional[float] = None
-    rounds_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    batch_cursor = 0
-    adam: Optional[AdamState] = None
-
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        params.clear()
-        params.update(ckpt.params)
-        if ckpt.adam_m is not None:
-            adam = AdamState(m=ckpt.adam_m, v=ckpt.adam_v, t=ckpt.step)
-        start_step = ckpt.step
-        extra = ckpt.extra
-        cum_compute = float(extra.get("cum_compute", 0.0))
-        il = extra.get("initial_loss")
-        initial_loss = None if il is None else float(il)
-        batch_cursor = int(extra.get("batch_cursor", 0))
-        if "rounds_rng" in extra:
-            rounds_rng.bit_generator.state = extra["rounds_rng"]
-
-    if adam is None:
-        adam = init_adam_state(params)
-
     trace = LossTrace(
         eval_names=sorted(eval_batches),
         expected_cost_per_step=expected_step_cost,
         meta={
             "signature": to_tagged(model.plan.source),
-            "start_step": start_step,
             "total_steps": cfg.total_steps,
             "cost_mode": "layer-pass",
         },
     )
+    start_step = 0
+    rounds_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    adam: Optional[AdamState] = None
 
-    wrapped = False
-    n_batches = len(batches)
+    if resume_from is not None:
+        ckpt = load_checkpoint(resume_from)
+        if "trace" not in ckpt.extra:
+            raise ValueError(
+                f"checkpoint {resume_from} holds no trace (written by an older "
+                f"rinslab); rerun with --force to start the run afresh"
+            )
+        params.clear()
+        params.update(ckpt.params)
+        if ckpt.adam_m is not None:
+            adam = AdamState(m=ckpt.adam_m, v=ckpt.adam_v, t=ckpt.step)
+        start_step = ckpt.step
+        trace.records = [TraceRecord(**row) for row in ckpt.extra["trace"]]
+        rounds_rng.bit_generator.state = ckpt.extra["rounds_rng"]
+
+    if adam is None:
+        adam = init_adam_state(params)
+    cum_compute = trace.records[-1].compute if trace.records else 0.0
+    initial_loss = trace.records[0].train_loss if trace.records else None
 
     def save(step):
         if checkpoint_path is None:
@@ -181,9 +179,7 @@ def train(
             adam_m=adam.m,
             adam_v=adam.v,
             extra={
-                "cum_compute": cum_compute,
-                "initial_loss": initial_loss,
-                "batch_cursor": batch_cursor,
+                "trace": [asdict(r) for r in trace.records if r.step <= step],
                 "rounds_rng": _jsonable_rng_state(rounds_rng),
             },
         )
@@ -191,15 +187,11 @@ def train(
     step = start_step
     for step in range(start_step + 1, cfg.total_steps + 1):
         # An aborted step never updates params or Adam state; the final
-        # checkpoint then restores these to describe the step before it.
-        before = (cum_compute, initial_loss, batch_cursor, rounds_rng.bit_generator.state)
-        if batch_cursor >= n_batches:
-            batch_cursor = 0
-            if not wrapped:
-                wrapped = True
-                log.info("training stream exhausted; cycling from the start")
-        batch = batches[batch_cursor]
-        batch_cursor += 1
+        # checkpoint then restores the RNG to describe the step before it.
+        rng_before = rounds_rng.bit_generator.state
+        if step - 1 == len(batches):
+            log.info("training stream exhausted; cycling from the start")
+        batch = batches[(step - 1) % len(batches)]
 
         rounds = int(sample_rounds(policy, rounds_rng))
         segments = (
@@ -252,7 +244,7 @@ def train(
             save(step)  # the last step is saved below
 
     if trace.aborted:
-        cum_compute, initial_loss, batch_cursor, rounds_rng.bit_generator.state = before
+        rounds_rng.bit_generator.state = rng_before
         step -= 1
     save(step)
     return trace, adam

@@ -1,6 +1,7 @@
-"""Checkpoint files: a truncated file is refused with a named error, and
-atomic writes reach the disk before they are renamed into place."""
+"""Checkpoint files: a truncated or corrupted file is refused with a named
+error, and atomic writes reach the disk before they are renamed into place."""
 
+import json
 import os
 
 import pytest
@@ -33,6 +34,35 @@ def test_truncated_file_refused(tmp_path, cut):
     msg = str(ei.value)
     assert "truncated checkpoint" in msg and str(path) in msg
     assert f"expected {expected} bytes, file has {keep}" in msg
+
+
+@pytest.mark.parametrize("name", ["block.A.layer.0.attn.q", "head.w"])
+def test_flipped_payload_byte_refused(tmp_path, name):
+    path = tmp_path / "model.rlab"
+    _save_tiny(path)
+    blob = bytearray(path.read_bytes())
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    (entry,) = [e for e in json.loads(blob[16:header_end])["arrays"] if e["name"] == name]
+    blob[header_end + entry["offset"] + 1] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as ei:
+        rl.load_checkpoint(path)
+    assert str(ei.value) == f"corrupt checkpoint {path}: array {name!r} fails its checksum"
+
+
+def test_checkpoint_without_checksums_refused(tmp_path):
+    path = tmp_path / "model.rlab"
+    _save_tiny(path)
+    blob = path.read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:header_end])
+    for entry in header["arrays"]:
+        del entry["crc32"]
+    old = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + len(old).to_bytes(8, "little") + old + blob[header_end:])
+    with pytest.raises(ValueError, match="predates per-array checksums") as ei:
+        rl.load_checkpoint(path)
+    assert str(path) in str(ei.value)
 
 
 @pytest.mark.parametrize(

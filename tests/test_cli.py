@@ -2,6 +2,12 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,11 +336,9 @@ class TestCmdRun:
         # cmd_run under `first` is killed after steps 1-3 and their
         # checkpoint, then cmd_run resumes under `then`
         real_train = lab_mod.train
-        heads = []
 
         def killed_after_step_3(model, params, batches, cfg, **kw):
-            heads.append(real_train(model, params, batches,
-                                    dataclasses.replace(cfg, total_steps=3), **kw)[0])
+            real_train(model, params, batches, dataclasses.replace(cfg, total_steps=3), **kw)
             raise RuntimeError("killed")
 
         monkeypatch.setattr(lab_mod, "train", killed_after_step_3)
@@ -351,21 +355,82 @@ class TestCmdRun:
         assert [(e["from_step"], e["lanes"]) for e in resumed["processes"]] == [
             (0, first), (3, then)]
 
-        # the resumed trace holds steps 4-9 (a resume drops the steps
-        # before it), and the first run's records and it together are the
-        # uninterrupted trace's records, held-out losses included, bitwise;
-        # the headers differ only in the start and total step
+        # the resumed trace files are the uninterrupted run's, held-out
+        # losses included, byte for byte
         run_dir = tmp_path / "runs" / "demo"
-        heads[0].to_jsonl(tmp_path / "head.jsonl")
-        head_lines = (tmp_path / "head.jsonl").read_text().splitlines()
-        tail_lines = (run_dir / "trace.jsonl").read_text().splitlines()
         ref_lines = (ref_dir / "trace.jsonl").read_text().splitlines()
         assert len(ref_lines) == 10 and '"held"' in ref_lines[-1]
-        assert head_lines[1:] + tail_lines[1:] == ref_lines[1:]
+        for name in ("trace.jsonl", "trace.csv"):
+            assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
         got = rl.load_checkpoint(run_dir / "checkpoint.rlab").params
         want = rl.load_checkpoint(ref_dir / "checkpoint.rlab").params
         for k in want:
             assert np.array_equal(want[k], got[k]), k
+
+    def test_rerun_after_final_checkpoint_completes(self, tmp_path, monkeypatch):
+        # killed after the last step's checkpoint, before the trace files and
+        # the final manifest were written: the rerun trains no step, and
+        # still reports the whole run
+        import rinslab.lab as lab_mod
+
+        text = make_ini(eval_line="eval = held=grammar:300")
+        (tmp_path / "ref.ini").write_text(text)
+        ref = rl.cmd_run(tmp_path / "ref.ini", out_root=str(tmp_path / "ref"))
+        real_train = lab_mod.train
+
+        def killed_after_training(*args, **kw):
+            real_train(*args, **kw)
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(lab_mod, "train", killed_after_training)
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(text)
+        with pytest.raises(RuntimeError, match="killed"):
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        monkeypatch.setattr(lab_mod, "train", real_train)
+        rerun = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        assert rerun["status"] == "done"
+        for key in ("final_step", "final_train_loss", "realized_compute_total",
+                    "final_eval_losses"):
+            assert rerun[key] == ref[key], key
+        run_dir, ref_dir = tmp_path / "runs" / "demo", tmp_path / "ref" / "demo"
+        for name in ("trace.jsonl", "trace.csv"):
+            assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+
+    def test_sigkilled_run_resumes_to_identical_files(self, tmp_path):
+        # a real `rinslab run` process, killed by SIGKILL once it has written
+        # a checkpoint, then run again to completion
+        text = make_ini(signature="AAAB", total_layers=4, total_steps=300,
+                        policy_lines="[policy]\np_skip = 0.5\nadapters = true")
+        text = text.replace("eval_interval = 3", "eval_interval = 20")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(rl.__file__).resolve().parents[1]))
+
+        def run_cli(out_root):
+            return subprocess.Popen(
+                [sys.executable, "-m", "rinslab.cli", "run", str(cfg),
+                 "--out-root", str(out_root)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(text)
+        assert run_cli(tmp_path / "ref").wait(timeout=300) == 0
+        proc = run_cli(tmp_path / "runs")
+        ckpt = tmp_path / "runs" / "demo" / "checkpoint.rlab"
+        deadline = time.monotonic() + 300
+        while not ckpt.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL  # killed, not finished
+        assert not (tmp_path / "runs" / "demo" / "trace.jsonl").exists()
+        assert run_cli(tmp_path / "runs").wait(timeout=300) == 0
+
+        run_dir, ref_dir = tmp_path / "runs" / "demo", tmp_path / "ref" / "demo"
+        for name in ("trace.jsonl", "trace.csv", "checkpoint.rlab"):
+            assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "done" and manifest["final_step"] == 300
+        assert len(manifest["processes"]) == 2
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINSLAB_OUT_ROOT", str(tmp_path / "envruns"))

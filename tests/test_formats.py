@@ -6,6 +6,7 @@ every trace, fit, task file or checkpoint already on disk, so it must be
 deliberate.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -101,17 +102,18 @@ def test_checkpoint(tmp_path):
               "b": np.arange(3, dtype=np.float64)}
     adam_m = {k: v + 0.5 for k, v in params.items()}
     adam_v = {k: v * 2 for k, v in params.items()}
+    trace = [dataclasses.asdict(rl.TraceRecord(7, 12.5, 4.25, 0.001, 2))]
     path = tmp_path / "c.rlab"
     rl.save_checkpoint(path, dims, "AAAB@d1", policy, params, step=7,
-                       adam_m=adam_m, adam_v=adam_v,
-                       extra={"cum_compute": 12.5, "batch_cursor": 3})
+                       adam_m=adam_m, adam_v=adam_v, extra={"trace": trace})
     blob = path.read_bytes()
-    assert len(blob) == 865
+    assert len(blob) == 1056
     assert hashlib.sha256(blob).hexdigest() == (
-        "4bdabe925da90dc5ff3736f39afe513861df66ee17f5339e11598cc246ce1343"
+        "813b3ee42bc1e80af8727c5606a8dbf8ad3a2db9271a2ed8d0d953f0f035e921"
     )
     back = rl.load_checkpoint(path)
     assert (back.dims, back.policy, back.step) == (dims, policy, 7)
+    assert back.extra == {"trace": trace}
     for k in params:
         assert np.array_equal(back.params[k], params[k])
         assert np.array_equal(back.adam_m[k], adam_m[k])

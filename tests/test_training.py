@@ -186,15 +186,12 @@ class TestResume:
         cfg_half = dataclasses.replace(cfg2, total_steps=10)
         rl.train(model2, params2, batches, cfg_half, checkpoint_path=ckpt)
         model3, params3, _, cfg3 = tiny_setup("AAB", p_skip=0.5, seed=5, total_steps=20)
-        trace_tail, _ = rl.train(
+        trace_resumed, _ = rl.train(
             model3, params3, batches, cfg3, resume_from=str(ckpt)
         )
 
-        tail_full = [r for r in trace_full.records if r.step > 10]
-        assert [r.train_loss for r in trace_tail.records] == [
-            r.train_loss for r in tail_full
-        ]
-        assert [r.rounds for r in trace_tail.records] == [r.rounds for r in tail_full]
+        # the resumed trace is the whole uninterrupted trace, from step 1
+        assert trace_resumed == trace_full
         for k in params:
             assert np.array_equal(params[k], params3[k]), k
 
@@ -202,7 +199,7 @@ class TestResume:
     def test_checkpoint_after_abort_is_last_completed_step(self, tmp_path, monkeypatch, abort):
         # The aborted step never updates params or Adam state, so the final
         # checkpoint must describe the step before it, and resuming from it
-        # must replay the uninterrupted run's rows from there on.
+        # must give back the uninterrupted run's whole trace.
         if abort == "divergence":
             kw = dict(signature="AB", total_steps=6, warmup=0, peak_lr=5.0,
                       grad_clip_norm=0.0)
@@ -230,17 +227,23 @@ class TestResume:
         data = rl.load_checkpoint(ckpt)
         assert data.step == adam.t == completed
         assert [r.step for r in cut.records if r.step <= completed][-1] == completed
+        assert [row["step"] for row in data.extra["trace"]] == list(range(1, completed + 1))
         for k in params2:
             assert np.array_equal(data.params[k], params2[k]), k
             assert np.array_equal(data.adam_m[k], adam.m[k]), k
 
         model3, params3, _, cfg3 = tiny_setup(**kw)
-        tail, _ = rl.train(model3, params3, batches, cfg3, resume_from=str(ckpt))
-        want = [r for r in full.records if r.step > completed]
-        assert [dataclasses.astuple(r) for r in tail.records] == [
-            dataclasses.astuple(r) for r in want
-        ]
-        assert tail.aborted == full.aborted
+        resumed, _ = rl.train(model3, params3, batches, cfg3, resume_from=str(ckpt))
+        assert resumed == full
+
+    def test_checkpoint_without_trace_refused(self, tmp_path):
+        model, params, batches, cfg = tiny_setup(total_steps=8)
+        ckpt = tmp_path / "old.rlab"
+        rl.save_checkpoint(ckpt, model.dims, "AB@d1", model.policy, params, step=2,
+                           extra={"cum_compute": 12.5, "batch_cursor": 2})
+        with pytest.raises(ValueError) as ei:
+            rl.train(model, params, batches, cfg, resume_from=str(ckpt))
+        assert str(ckpt) in str(ei.value) and "--force" in str(ei.value)
 
     def test_cursor_wraps_cyclically(self):
         model, params, batches, cfg = tiny_setup(total_steps=7)
