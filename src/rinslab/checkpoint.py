@@ -4,8 +4,9 @@ Layout: 8-byte magic, uint64 header length, UTF-8 JSON header, then the
 arrays' bytes back to back in header order. The header records dims,
 signature, policy, step, dtype, an array index (name, dtype, shape, offset,
 and the zlib.crc32 of the array's bytes), and an opaque `extra` dict the
-training loop uses for the trace so far and the rounds RNG state, so a
-resumed run continues bit-for-bit. A file cut short, a file written before
+training loop uses for the trace so far; with the parameters, the Adam
+moments and the seed's depth schedule that is all a resumed run needs to
+continue bit-for-bit. A file cut short, a file written before
 arrays carried checksums, or an array whose bytes fail their checksum is
 refused with a ValueError that names it. The JSON header itself, `extra`
 included, carries no checksum; a damaged header is caught only where it no

@@ -11,7 +11,7 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
     <out_dir>/manifest.json    identity, derived values, processes, status (atomic write)
     <out_dir>/trace.csv        loss trace, one row per step
     <out_dir>/trace.jsonl      same trace with a header record
-    <out_dir>/checkpoint.rlab  params, optimizer state, trace so far and RNG for resume
+    <out_dir>/checkpoint.rlab  params, optimizer state and trace so far, for resume
 
 Corpus references are either a path to a .tokens file or "grammar:N[:seed]"
 for N tokens of the house grammar. Train references default to seed 0 and
@@ -278,7 +278,10 @@ def parse_run_config(text: str) -> RunSpec:
                     f"corpus.eval: expected name=ref entries, got {part!r}"
                 )
             ename, _, ref = part.partition("=")
-            evals.append((ename.strip(), ref.strip()))
+            ename = ename.strip()
+            if ename in [e for e, _ in evals]:
+                raise ConfigError(f"corpus.eval: eval name {ename!r} given twice")
+            evals.append((ename, ref.strip()))
 
     return RunSpec(
         name=run["name"],
@@ -309,6 +312,8 @@ def _resolve_corpus(ref: str, dims: ModelDims, default_seed: int, base_dir: Path
             n_tokens = int(parts[1])
         except ValueError:
             raise ConfigError(f"corpus ref {ref!r}: token count must be an integer")
+        if n_tokens < 1:
+            raise ConfigError(f"corpus ref {ref!r}: token count must be >= 1")
         seed = default_seed
         if len(parts) == 3:
             try:
@@ -362,7 +367,8 @@ def _write_json_atomic(path: Path, obj: dict):
 def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) -> dict:
     """Execute one run spec. Idempotent: a completed run with the same hash
     is skipped unless force. An existing checkpoint with matching hash is
-    resumed."""
+    resumed; otherwise the run starts afresh and first removes any
+    checkpoint and trace files in its directory."""
     config_path = Path(config_path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
@@ -413,6 +419,11 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         resume_from = str(ckpt_path)
         from_step = _saved_step(ckpt_path)
         processes = [e for e in old.get("processes", []) if e["from_step"] < from_step]
+    else:
+        # A fresh start: progress left by another config, or by a forced
+        # rerun's predecessor, must never be resumed under this hash.
+        for name in ("checkpoint.rlab", "trace.csv", "trace.jsonl"):
+            (run_dir / name).unlink(missing_ok=True)
     processes.append({
         "from_step": from_step,
         "lanes": model_mod._LANES,
@@ -610,6 +621,23 @@ def _load_run(run_dir: Path, use: str) -> tuple[dict, list[tuple[float, float]]]
     return manifest, pts
 
 
+def _load_runs(run_dirs, use: str) -> list[tuple[dict, list[tuple[float, float]]]]:
+    """_load_run for each directory; fits and curves are keyed by the
+    manifest name, so two directories with one name are refused."""
+    runs, seen = [], {}
+    for rd in run_dirs:
+        manifest, pts = _load_run(Path(rd), use)
+        name = manifest["name"]
+        if name in seen:
+            raise ConfigError(
+                f"run name {name!r} is shared by {seen[name]} and {rd}; "
+                f"give each run its own [run] name"
+            )
+        seen[name] = rd
+        runs.append((manifest, pts))
+    return runs
+
+
 def _fit_runs(runs, out_path, last_frac: float) -> dict[str, FitResult]:
     """Fit the last last_frac of each run's points (at least four)."""
     fits: dict[str, FitResult] = {}
@@ -629,7 +657,7 @@ def cmd_fit(
 ) -> dict[str, FitResult]:
     """Fit each run's loss-vs-compute trace; write fits JSON when asked."""
     _check_fit_args(use, last_frac)
-    return _fit_runs([_load_run(Path(rd), use) for rd in run_dirs], out_path, last_frac)
+    return _fit_runs(_load_runs(run_dirs, use), out_path, last_frac)
 
 
 def _family(manifests) -> Optional[dict[int, str]]:
@@ -659,7 +687,7 @@ def cmd_report(
     _check_fit_args(use, last_frac)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [_load_run(Path(rd), use) for rd in run_dirs]
+    runs = _load_runs(run_dirs, use)
     fits = _fit_runs(runs, out_dir / "fits.json", last_frac)
 
     all_points: dict[str, list[tuple[float, float]]] = {}

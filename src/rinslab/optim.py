@@ -100,14 +100,12 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    t: int = 0
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
-        t=0,
     )
 
 
@@ -152,7 +150,6 @@ def adam_step(
         scale = cfg.grad_clip_norm / norm
 
     lr = lr_at(cfg, step)
-    state.t = step
     bc1 = 1.0 - cfg.beta1 ** step
     rbc2 = math.sqrt(1.0 - cfg.beta2 ** step)
     # m += (1 - b1) scale g and v += (sqrt(1 - b2) scale g)^2, squared after

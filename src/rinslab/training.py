@@ -1,17 +1,19 @@
-"""Training loop: cyclic batches, per-step round sampling, Adam, tracing.
+"""Training loop: cyclic batches, a seeded depth schedule, Adam, tracing.
 
-One rounds draw per optimizer step, shared by the whole batch. Compute is
-accounted in per-sequence layer-pass units by the ledger: the trace's
-expected-cost figure is expected_stochastic_cost, and the cumulative column
-sums layer_pass_cost of the calls each step executed. Divergence (loss
+One round count per optimizer step, shared by the whole batch, read from a
+schedule drawn once from cfg.seed before step 1 (a shorter run's schedule
+is a prefix of a longer one's). Compute is accounted in per-sequence
+layer-pass units by the ledger: the trace's expected-cost figure is
+expected_stochastic_cost, and the cumulative column sums layer_pass_cost of
+the calls each step executed. Divergence (loss
 above 10x the first step's loss) and non-finite gradients abort the run
 early with the partial trace marked aborted rather than raising.
 
-A checkpoint carries the trace up to its step and the rounds RNG state next
-to the parameters and Adam moments. Resume restores those and derives the
-rest from them and the step (cumulative compute, the first step's loss, the
-next batch), so a resumed run reproduces the uninterrupted one bit for bit,
-trace included.
+A checkpoint carries the trace up to its step next to the parameters and
+Adam moments. Resume restores those and derives the rest from them, the
+step and the seed (cumulative compute, the first step's loss, the next
+batch, the round count), so a resumed run reproduces the uninterrupted one
+bit for bit, trace included.
 """
 
 from __future__ import annotations
@@ -120,12 +122,11 @@ def train(
     batches cycle when exhausted (logged once). Evaluation runs every
     cfg.eval_interval steps and at the final step, at the policy's inference
     round count. With checkpoint_path, a checkpoint is written at the same
-    cadence and at the end; it carries the trace so far and the rounds RNG,
-    so a run resumed from that path continues from the stored step with
-    identical arithmetic and returns the whole trace from step 1. A
-    checkpoint without a trace is refused. After an abort the final
-    checkpoint is the state after the last completed step, since the aborted
-    step updated nothing.
+    cadence and at the end; it carries the trace so far, so a run resumed
+    from that path continues from the stored step with identical arithmetic
+    and returns the whole trace from step 1. A checkpoint without a trace is
+    refused. After an abort the final checkpoint is the state after the last
+    completed step, since the aborted step updated nothing.
     """
     if not batches:
         raise ValueError("no training batches")
@@ -143,7 +144,11 @@ def train(
         },
     )
     start_step = 0
-    rounds_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    schedule = sample_rounds(
+        policy,
+        np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]),
+        size=cfg.total_steps,
+    )
     adam: Optional[AdamState] = None
 
     if resume_from is not None:
@@ -156,10 +161,9 @@ def train(
         params.clear()
         params.update(ckpt.params)
         if ckpt.adam_m is not None:
-            adam = AdamState(m=ckpt.adam_m, v=ckpt.adam_v, t=ckpt.step)
+            adam = AdamState(m=ckpt.adam_m, v=ckpt.adam_v)
         start_step = ckpt.step
         trace.records = [TraceRecord(**row) for row in ckpt.extra["trace"]]
-        rounds_rng.bit_generator.state = ckpt.extra["rounds_rng"]
 
     if adam is None:
         adam = init_adam_state(params)
@@ -178,22 +182,16 @@ def train(
             step=step,
             adam_m=adam.m,
             adam_v=adam.v,
-            extra={
-                "trace": [asdict(r) for r in trace.records if r.step <= step],
-                "rounds_rng": _jsonable_rng_state(rounds_rng),
-            },
+            extra={"trace": [asdict(r) for r in trace.records if r.step <= step]},
         )
 
     step = start_step
     for step in range(start_step + 1, cfg.total_steps + 1):
-        # An aborted step never updates params or Adam state; the final
-        # checkpoint then restores the RNG to describe the step before it.
-        rng_before = rounds_rng.bit_generator.state
         if step - 1 == len(batches):
             log.info("training stream exhausted; cycling from the start")
         batch = batches[(step - 1) % len(batches)]
 
-        rounds = int(sample_rounds(policy, rounds_rng))
+        rounds = int(schedule[step - 1])
         segments = (
             segments_from_boundaries(batch.boundaries) if cfg.mask_reset else None
         )
@@ -243,13 +241,7 @@ def train(
         if step % cfg.eval_interval == 0 and step < cfg.total_steps:
             save(step)  # the last step is saved below
 
-    if trace.aborted:
-        rounds_rng.bit_generator.state = rng_before
-        step -= 1
-    save(step)
+    # An aborted step updated nothing, so the final checkpoint describes
+    # the step before it.
+    save(step - trace.aborted)
     return trace, adam
-
-
-def _jsonable_rng_state(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=int))

@@ -397,6 +397,40 @@ class TestCmdRun:
         for name in ("trace.jsonl", "trace.csv"):
             assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
 
+    def test_rerun_of_other_config_in_a_done_run_dir_starts_afresh(
+        self, tmp_path, monkeypatch
+    ):
+        # Spec B shares spec A's out_dir and is killed before its first
+        # checkpoint. Rerunning B must train B from step 0, not resume A's
+        # final checkpoint under B's hash.
+        import rinslab.lab as lab_mod
+
+        text_a = make_ini(signature="AB", total_layers=2).replace(
+            "eval_interval = 3", "eval_interval = 2")
+        text_b = text_a.replace("peak_lr = 3e-3", "peak_lr = 1e-3")
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(text_a)
+        assert rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))["status"] == "done"
+        (tmp_path / "ref.ini").write_text(text_b)
+        ref = rl.cmd_run(tmp_path / "ref.ini", out_root=str(tmp_path / "ref"))
+
+        real_train = lab_mod.train
+
+        def killed_at_once(*args, **kw):
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(lab_mod, "train", killed_at_once)
+        cfg.write_text(text_b)
+        with pytest.raises(RuntimeError, match="killed"):
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        monkeypatch.setattr(lab_mod, "train", real_train)
+        rerun = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        assert [e["from_step"] for e in rerun["processes"]] == [0]
+        assert rerun["final_train_loss"] == ref["final_train_loss"]
+        run_dir, ref_dir = tmp_path / "runs" / "demo", tmp_path / "ref" / "demo"
+        for name in ("trace.jsonl", "trace.csv", "checkpoint.rlab"):
+            assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+
     def test_sigkilled_run_resumes_to_identical_files(self, tmp_path):
         # a real `rinslab run` process, killed by SIGKILL once it has written
         # a checkpoint, then run again to completion
@@ -598,6 +632,26 @@ class TestFitReport:
         assert curve[0] == "compute,loss"
         assert len(curve) == 41
 
+    def test_shared_run_name_refused(self, tmp_path):
+        # two seeds of one spec under two out-roots: both manifests say
+        # "demo", and fits and curves are keyed by that name
+        dirs = []
+        for seed in (0, 1):
+            cfg = tmp_path / f"seed{seed}.ini"
+            cfg.write_text(make_ini(seed=seed))
+            rl.cmd_run(cfg, out_root=str(tmp_path / f"root{seed}"))
+            dirs.append(str(tmp_path / f"root{seed}" / "demo"))
+        with pytest.raises(rl.ConfigError) as ei:
+            rl.cmd_fit(dirs)
+        assert "'demo'" in str(ei.value)
+        assert dirs[0] in str(ei.value) and dirs[1] in str(ei.value)
+        with pytest.raises(rl.ConfigError, match="'demo'"):
+            rl.cmd_report(dirs, tmp_path / "rep")
+        assert cli.main(["fit", *dirs, "--out", str(tmp_path / "f.json")]) == 2
+        assert cli.main(["report", *dirs, "--out-dir", str(tmp_path / "rep")]) == 2
+        assert not (tmp_path / "f.json").exists()
+        assert not (tmp_path / "rep" / "fits.json").exists()
+
     def test_report_without_family_skips_breakpoints(self, family_dirs, tmp_path):
         out_dir = tmp_path / "solo"
         summary = rl.cmd_report([str(family_dirs[0])], out_dir)
@@ -691,6 +745,21 @@ class TestMainExitCodes:
         cfg.write_text(make_ini().replace("value = AAB", "value = 123"))
         assert cli.main(["run", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_eval_name_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.ini"
+        cfg.write_text(make_ini(eval_line="eval = held=grammar:600, held=grammar:900:3"))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "corpus.eval" in err and "'held'" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("ref", ["grammar:-5", "grammar:0"])
+    def test_nonpositive_token_count_is_2(self, tmp_path, capsys, ref):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(make_ini().replace("train = grammar:600", f"train = {ref}"))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert repr(ref) in capsys.readouterr().err
 
     def test_missing_file_is_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.ini")]) == 2

@@ -46,3 +46,31 @@ def test_every_export_has_a_caller():
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     used = _referenced_names() | readme
     assert [n for n in rl.__all__ if n not in used] == []
+
+
+def _private_module_names(tree: ast.Module) -> set[str]:
+    """The module-level _private functions, classes and constants a file defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_read():
+    # a private helper nothing reads is dead code; a definition or an import
+    # is not a read, only a Name or Attribute in Load context is
+    defined, loaded = {}, set()
+    for path in sorted((ROOT / "src" / "rinslab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update({n: path.name for n in _private_module_names(tree)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert defined  # the scan found the package's private names
+    assert sorted(f"{f}:{n}" for n, f in defined.items() if n not in loaded) == []

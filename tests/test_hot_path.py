@@ -371,7 +371,6 @@ def test_adam_matches_reference_with_clip_and_decay(rng, dtype, magnitude):
         want = ref_adam_step(ref_p, grads, ref_m, ref_v, cfg, step)
         assert norm > cfg.grad_clip_norm  # the clip is active every step
         assert norm == pytest.approx(want, rel=1e-12)
-        assert state.t == step
         for k in params:
             assert_close(params[k], ref_p[k], dtype)
             assert_close(state.m[k], ref_m[k], dtype)

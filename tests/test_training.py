@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -127,6 +128,29 @@ class TestStochasticRecording:
         assert trace.expected_cost_per_step == ledger
 
 
+class TestDepthSchedule:
+    @pytest.mark.parametrize("signature", ["AAB", "AAAB", "AAAAB"])
+    @pytest.mark.parametrize("p_skip", [0.5, 0.8])
+    def test_schedule_is_per_step_stream_and_prefix(self, signature, p_skip):
+        # The round counts train() reads from its schedule are the ones a
+        # draw per step from the seeded generator gives, and a shorter run's
+        # schedule is the start of a longer one's.
+        model, params, batches, cfg = tiny_setup(signature, p_skip=p_skip, seed=3,
+                                                 total_steps=12)
+        trace, _ = rl.train(model, params, batches, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        stream = [int(rl.sample_rounds(model.policy, rng)) for _ in range(400)]
+        assert [r.rounds for r in trace.records] == stream[:12]
+
+        model2, params2, _, cfg2 = tiny_setup(signature, p_skip=p_skip, seed=3,
+                                              total_steps=5)
+        short, _ = rl.train(model2, params2, batches, cfg2)
+        assert [r.rounds for r in short.records] == stream[:5]
+
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        assert rl.sample_rounds(model.policy, rng, size=400).tolist() == stream
+
+
 class TestAborts:
     def test_divergence_abort(self):
         model, params, batches, cfg = tiny_setup(
@@ -225,7 +249,7 @@ class TestResume:
         assert cut.aborted
         completed = 1 if abort == "divergence" else 4
         data = rl.load_checkpoint(ckpt)
-        assert data.step == adam.t == completed
+        assert data.step == completed
         assert [r.step for r in cut.records if r.step <= completed][-1] == completed
         assert [row["step"] for row in data.extra["trace"]] == list(range(1, completed + 1))
         for k in params2:
@@ -235,6 +259,39 @@ class TestResume:
         model3, params3, _, cfg3 = tiny_setup(**kw)
         resumed, _ = rl.train(model3, params3, batches, cfg3, resume_from=str(ckpt))
         assert resumed == full
+
+    def test_checkpoint_with_rounds_rng_resumes(self, tmp_path):
+        # Checkpoints written before the depth schedule was drawn up front
+        # also hold the state of the per-step rounds generator. Resume reads
+        # the schedule from the seed and leaves that entry unread.
+        kw = dict(signature="AAAB", p_skip=0.5, seed=5, total_steps=20, eval_interval=5)
+        model, params, batches, cfg = tiny_setup(**kw)
+        full, _ = rl.train(model, params, batches, cfg)
+
+        model2, params2, _, cfg2 = tiny_setup(**kw)
+        ckpt = tmp_path / "old.rlab"
+        rl.train(model2, params2, batches, dataclasses.replace(cfg2, total_steps=10),
+                 checkpoint_path=ckpt)
+        data = rl.load_checkpoint(ckpt)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        for _ in range(data.step):
+            rl.sample_rounds(model.policy, rng)
+        rounds_rng = json.loads(json.dumps(rng.bit_generator.state, default=int))
+        rl.save_checkpoint(ckpt, data.dims, data.signature, data.policy, data.params,
+                           step=data.step, adam_m=data.adam_m, adam_v=data.adam_v,
+                           extra={**data.extra, "rounds_rng": rounds_rng})
+
+        model3, params3, _, cfg3 = tiny_setup(**kw)
+        resumed, _ = rl.train(model3, params3, batches, cfg3, resume_from=str(ckpt))
+        assert resumed == full
+        for k in params:
+            assert np.array_equal(params[k], params3[k]), k
+
+    def test_checkpoint_extra_holds_trace_alone(self, tmp_path):
+        model, params, batches, cfg = tiny_setup("AAB", p_skip=0.5, total_steps=4, warmup=0)
+        ckpt = tmp_path / "c.rlab"
+        rl.train(model, params, batches, cfg, checkpoint_path=ckpt)
+        assert set(rl.load_checkpoint(ckpt).extra) == {"trace"}
 
     def test_checkpoint_without_trace_refused(self, tmp_path):
         model, params, batches, cfg = tiny_setup(total_steps=8)
