@@ -158,7 +158,7 @@ def load_checkpoint(path) -> CheckpointData:
     for entry in header["arrays"]:
         dt = np.dtype(entry["dtype"])
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         start = entry["offset"]
         name = entry["name"]
         raw = view[start:start + count * dt.itemsize]

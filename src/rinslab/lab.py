@@ -333,6 +333,9 @@ def _resolve_corpus(ref: str, dims: ModelDims, default_seed: int, base_dir: Path
     if not path.exists():
         raise ConfigError(f"corpus ref {ref!r}: file not found at {path}")
     docs, _ = corpus_mod.load_tokens(path)
+    min_id = min((min(d) for d in docs if d), default=0)
+    if min_id < 0:
+        raise ConfigError(f"corpus ref {ref!r}: negative token id {min_id}")
     max_id = max((max(d) for d in docs if d), default=0)
     if max_id >= dims.vocab - 1:
         raise ConfigError(
@@ -388,8 +391,6 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         if old.get("config_hash") == chash and old.get("status") == "done":
             return old
 
-    (run_dir / "config.ini").write_text(text, encoding="utf-8")
-
     plan = expand(spec.signature)
     model = RecursiveModel(spec.dims, plan, spec.policy, dtype=np.dtype(spec.dtype))
     params = model.init_params(spec.seed)
@@ -427,7 +428,10 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
     processes.append({
         "from_step": from_step,
         "lanes": model_mod._LANES,
-        "blas_threads": {var: os.environ.get(var) for var in model_mod._BLAS_THREAD_VARS},
+        "blas_threads": {
+            var: os.environ.get(var)
+            for reads in model_mod._BLAS_THREAD_VARS.values() for var in reads
+        },
     })
 
     manifest = {
@@ -454,6 +458,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         "status": "running",
         "started_at": time.time(),
     }
+    (run_dir / "config.ini").write_text(text, encoding="utf-8")
     _write_json_atomic(manifest_path, manifest)
 
     trace, _ = train(

@@ -36,7 +36,6 @@ __all__ = [
     "mlp_bwd",
     "softmax_xent_fwd",
     "softmax_xent_bwd",
-    "causal_mask",
 ]
 
 _GELU_K = math.sqrt(2.0 / math.pi)
@@ -125,11 +124,6 @@ def embed_bwd(dh, cache):
     return dtok, dpos_rows, T
 
 
-def causal_mask(T: int) -> np.ndarray:
-    """(T, T) boolean; True where query position may attend key position."""
-    return np.tri(T, dtype=bool)
-
-
 def _heads(x, B, T, n_heads):
     """(B, H, T, hd) view of a (B*T, d) or (B, T, d) array."""
     return x.reshape(B, T, n_heads, -1).transpose(0, 2, 1, 3)
@@ -157,7 +151,7 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     """
     B, T, d = xn.shape
     x2 = xn.reshape(-1, d)
-    allow = causal_mask(T)
+    allow = np.tri(T, dtype=bool)
     if mask is not None:
         allow = allow & mask
     xq = xn

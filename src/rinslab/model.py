@@ -153,22 +153,38 @@ def adapter_fraction(params: dict) -> dict:
 _GROUP_BYTES = 1 << 20
 
 
-# The thread-count variables OpenBLAS and MKL read; the manifest records them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# The thread-count variables each BLAS reads, in the order it reads them;
+# the manifest records them all.
+_BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
 
 
-def _count_lanes() -> int:
-    """2 when this process may run on two CPUs and the environment pins BLAS
-    to one thread per call, else 1.
+def _blas_name() -> str:
+    """The name numpy gives the BLAS it links, e.g. "scipy-openblas"; ""
+    when numpy names none."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy < 1.25 takes no mode
+        return ""
+    return str(deps.get("blas", {}).get("name", ""))
+
+
+def _count_lanes(blas: str) -> int:
+    """2 when this process may run on two CPUs and the environment pins the
+    BLAS named `blas` to one thread per call, else 1.
 
     A threaded BLAS already spreads each GEMM over the cores, and a second
     lane would then oversubscribe them, so it gets one lane, as does a
-    process that `taskset` keeps to one CPU. The first of _BLAS_THREAD_VARS
-    that is set decides.
+    process that `taskset` keeps to one CPU. Of the variables that BLAS
+    reads (_BLAS_THREAD_VARS), the first that is set decides; a BLAS not
+    listed there gets one lane.
     """
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return 1
-    for var in _BLAS_THREAD_VARS:
+    reads = next((v for k, v in _BLAS_THREAD_VARS.items() if k in blas.lower()), ())
+    for var in reads:
         if os.environ.get(var, "").strip():
             return 2 if os.environ[var].strip() == "1" else 1
     return 1
@@ -176,7 +192,7 @@ def _count_lanes() -> int:
 
 # Groups one executor call runs at once (see _in_order). It schedules the
 # groups and never decides what they are, so no result depends on it.
-_LANES = _count_lanes()
+_LANES = _count_lanes(_blas_name())
 
 
 class RecursiveModel:
@@ -291,10 +307,7 @@ class RecursiveModel:
         ]
 
     def forward(self, params, tokens, rounds=None, segments=None):
-        (logits,), _, _ = self._run(
-            params, tokens, [rounds], _mask(segments), need_tape=False
-        )
-        return logits
+        return self.forward_with_info(params, tokens, rounds, segments)[0]
 
     def forward_with_info(self, params, tokens, rounds=None, segments=None):
         (logits,), _, (info,) = self._run(

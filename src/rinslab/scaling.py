@@ -136,10 +136,8 @@ def fit_power_law(
     gaps[-1] = min_eps
 
     best_i, best = -1, (float("inf"), 0.0, 0.0)
-    grid_sse = np.full(n_grid, float("inf"))
     for i, g in enumerate(gaps):
         r = _sse_for_gap(float(g), x, eps, min_eps)
-        grid_sse[i] = r[0]
         if r[0] < best[0]:
             best_i, best = i, r
     if best_i < 0:

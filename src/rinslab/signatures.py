@@ -118,10 +118,7 @@ def parse(text: str, degree: int = 1) -> Signature:
         else:
             out.append(label)
         pos = m.end()
-    flat = "".join(out)
-    if len(set(flat)) > 26:
-        raise SignatureParseError("more than 26 distinct labels", 0)
-    return Signature(_canonical_relabel(flat), degree)
+    return Signature(_canonical_relabel("".join(out)), degree)
 
 
 def to_tagged(sig: Signature) -> str:
@@ -203,6 +200,7 @@ class ExecutionPlan:
 def _expand_ids(symbols: str, degree: int, next_id: int) -> tuple[list[int], int]:
     # Recursive substitution. At each level, every distinct outer label gets
     # one fresh copy of the sub-expansion; repeats of a label reuse that copy.
+    # Ids are handed out in first-occurrence order, as ExecutionPlan promises.
     if degree == 1:
         ids: dict[str, int] = {}
         seq = []
@@ -229,24 +227,13 @@ def expand(sig: Signature) -> ExecutionPlan:
     for everything else. Plans with other masks are built as ExecutionPlan
     directly.
     """
-    seq, _ = _expand_ids(sig.symbols, sig.degree, 0)
-    # Relabel so ids appear in first-occurrence order regardless of expansion
-    # internals.
-    remap: dict[int, int] = {}
-    canon = []
-    for i in seq:
-        if i not in remap:
-            remap[i] = len(remap)
-        canon.append(remap[i])
-    unique = len(remap)
-    assert unique == sig.unique_leaf_count
-
+    seq, unique = _expand_ids(sig.symbols, sig.degree, 0)
     r = rins_rounds(sig)
     if r is None:
-        mask = (False,) * len(canon)
+        mask = (False,) * len(seq)
     else:
         mask = (False,) + (True,) * (r - 1) + (False,)
-    return ExecutionPlan(tuple(canon), unique, mask, sig)
+    return ExecutionPlan(tuple(seq), unique, mask, sig)
 
 
 def layers_per_block(sig: Signature, total_layers: int) -> int:

@@ -99,15 +99,6 @@ class LossTrace:
         return cls(records=records, **header)
 
 
-def _eval_all(model, params, eval_batches, rounds, mask_reset):
-    out = {}
-    for name, batches in eval_batches.items():
-        out[name] = held_out_log_perplexity(
-            model, params, batches, rounds=rounds, mask_reset=mask_reset
-        )
-    return out
-
-
 def train(
     model: RecursiveModel,
     params: dict[str, np.ndarray],
@@ -233,9 +224,13 @@ def train(
 
         record = TraceRecord(step, cum_compute, loss, lr_at(cfg, step), rounds)
         if eval_batches and (step % cfg.eval_interval == 0 or step == cfg.total_steps):
-            record.eval_losses = _eval_all(
-                model, params, eval_batches, model.resolve_rounds(None), cfg.mask_reset
-            )
+            full = model.resolve_rounds(None)
+            record.eval_losses = {
+                name: held_out_log_perplexity(
+                    model, params, held, rounds=full, mask_reset=cfg.mask_reset
+                )
+                for name, held in eval_batches.items()
+            }
         trace.records.append(record)
 
         if step % cfg.eval_interval == 0 and step < cfg.total_steps:

@@ -257,6 +257,23 @@ class TestCmdRun:
         assert second["config_hash"] != first["config_hash"]
         assert second["status"] == "done"
 
+    def test_failed_spec_keeps_finished_config(self, tmp_path):
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(make_ini(signature="AB"))
+        done = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        run_dir = tmp_path / "runs" / "demo"
+        kept = (run_dir / "config.ini").read_bytes()
+
+        cfg.write_text(make_ini(signature="AB").replace(
+            "train = grammar:600", "train = missing.tokens"))
+        with pytest.raises(rl.ConfigError, match="missing.tokens"):
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        assert (run_dir / "config.ini").read_bytes() == kept
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "done"
+        assert rl.config_hash(rl.parse_run_config(kept.decode())) == \
+            manifest["config_hash"] == done["config_hash"]
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         text = make_ini(total_steps=9)
         cfg = tmp_path / "demo.ini"
@@ -614,6 +631,18 @@ class TestFitReport:
         with pytest.raises(rl.ConfigError, match="no eval points"):
             rl.cmd_fit([str(family_dirs[0])], use="eval:held")
 
+    def test_fit_on_eval_points(self, tmp_path):
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(make_ini(total_steps=12, eval_line="eval = held=grammar:300"))
+        rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        run_dir = tmp_path / "runs" / "demo"
+        trace = rl.LossTrace.from_jsonl(run_dir / "trace.jsonl")
+        computes = [r.compute for r in trace.records if r.eval_losses]
+        assert len(computes) == 4  # steps 3, 6, 9 and 12
+        fit = rl.cmd_fit([str(run_dir)], use="eval:held")["demo"]
+        assert fit.n_points == 4
+        assert (fit.fit_x_min, fit.fit_x_max) == (computes[0], computes[-1])
+
     def test_cmd_report_family_outputs(self, family_dirs, tmp_path):
         out_dir = tmp_path / "report"
         summary = rl.cmd_report([str(d) for d in family_dirs], out_dir)
@@ -760,6 +789,19 @@ class TestMainExitCodes:
         cfg.write_text(make_ini().replace("train = grammar:600", f"train = {ref}"))
         assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
         assert repr(ref) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["train = neg.tokens",
+                                      "train = grammar:600\neval = held=neg.tokens"])
+    def test_negative_token_id_is_2(self, tmp_path, capsys, line):
+        ids = [i % 60 for i in range(300)]
+        ids[150] = -3
+        rl.save_tokens(tmp_path / "neg.tokens", [ids])
+        cfg = tmp_path / "neg.ini"
+        cfg.write_text(make_ini().replace("train = grammar:600", line))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "'neg.tokens'" in err and "-3" in err
+        assert not (tmp_path / "runs" / "demo" / "manifest.json").exists()
 
     def test_missing_file_is_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.ini")]) == 2

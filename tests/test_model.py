@@ -782,24 +782,36 @@ class TestTwoLanes:
             m.loss(p, t, u)
 
 
+    # want: lanes under OpenBLAS, which reads OPENBLAS_, GOTO_ and then
+    # OMP_NUM_THREADS, and under MKL, which reads MKL_ and then OMP_NUM_THREADS.
     @pytest.mark.parametrize("cpus,env,want", [
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset to one CPU
-        (2, {}, 1),  # BLAS picks its own thread count
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        (4, {"MKL_NUM_THREADS": " 1 "}, 2),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, (1, 1)),  # taskset to one CPU
+        (1, {"MKL_NUM_THREADS": "1"}, (1, 1)),
+        (2, {}, (1, 1)),  # BLAS picks its own thread count
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, (2, 1)),
+        (2, {"GOTO_NUM_THREADS": "1"}, (2, 1)),
+        (2, {"OMP_NUM_THREADS": "1"}, (2, 2)),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, (1, 2)),
+        (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, (2, 1)),
+        (4, {"MKL_NUM_THREADS": " 1 "}, (1, 2)),
+        (2, {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, (1, 2)),
+        (2, {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, (2, 1)),
+        (2, {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}, (2, 2)),  # bench/run.py
     ])
-    def test_lane_count(self, monkeypatch, cpus, env, want):
+    @pytest.mark.parametrize("blas", ["scipy-openblas", "mkl-sdl", "accelerate"])
+    def test_lane_count(self, monkeypatch, cpus, env, want, blas):
         import rinslab.model as model_mod
 
         monkeypatch.setattr(model_mod.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert model_mod._count_lanes() == want
+        lanes = {"scipy-openblas": want[0], "mkl-sdl": want[1], "accelerate": 1}
+        assert model_mod._count_lanes(blas) == lanes[blas]
 
     def test_wrapped_layers_run_on_one_lane(self, tiny_dims, lanes, monkeypatch):
         import functools

@@ -151,6 +151,50 @@ class TestDepthSchedule:
         assert rl.sample_rounds(model.policy, rng, size=400).tolist() == stream
 
 
+def abort_at_step_3(tmp_path, monkeypatch, corrupt):
+    """Train 6 steps with step 3's loss replaced by corrupt(loss, grads),
+    which may also replace gradients, and check that the abort left nothing
+    of step 3: no trace record, and parameters, Adam moments and the final
+    checkpoint as they were after step 2. Returns the trace."""
+    import rinslab.training as training_mod
+
+    model, params, batches, cfg = tiny_setup(
+        "AAB", p_skip=0.5, seed=5, total_steps=6, eval_interval=2)
+    real_loss_and_grads, real_adam_step = model.loss_and_grads, training_mod.adam_step
+    after = []  # (params, m, v) after each completed update
+
+    def loss_and_grads(*args, **kwargs):
+        loss, grads, info = real_loss_and_grads(*args, **kwargs)
+        if len(after) == 2:
+            loss = corrupt(loss, grads)
+        return loss, grads, info
+
+    def adam_step(params, grads, state, cfg, step):
+        norm = real_adam_step(params, grads, state, cfg, step)
+        after.append(tuple({k: a.copy() for k, a in d.items()}
+                           for d in (params, state.m, state.v)))
+        return norm
+
+    monkeypatch.setattr(model, "loss_and_grads", loss_and_grads)
+    monkeypatch.setattr(training_mod, "adam_step", adam_step)
+    ckpt = tmp_path / "c.rlab"
+    trace, adam = rl.train(model, params, batches, cfg, checkpoint_path=ckpt)
+    assert trace.aborted
+    assert len(after) == 2
+    assert [r.step for r in trace.records] == [1, 2]
+    data = rl.load_checkpoint(ckpt)
+    assert data.step == 2
+    assert [row["step"] for row in data.extra["trace"]] == [1, 2]
+    want_p, want_m, want_v = after[-1]
+    for got, want in ((params, want_p), (adam.m, want_m), (adam.v, want_v),
+                      (data.params, want_p), (data.adam_m, want_m),
+                      (data.adam_v, want_v)):
+        assert set(got) == set(want)
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+    return trace
+
+
 class TestAborts:
     def test_divergence_abort(self):
         model, params, batches, cfg = tiny_setup(
@@ -163,13 +207,19 @@ class TestAborts:
         final = trace.records[-1]
         assert final.train_loss > 10.0 * trace.records[0].train_loss
 
-    def test_nonfinite_gradient_abort(self):
-        model, params, batches, cfg = tiny_setup(total_steps=5)
-        params["head.w"][:] = np.float32(1e30)
-        params["embed.token"][:] = np.float32(1e30)
-        trace, _ = rl.train(model, params, batches, cfg)
-        assert trace.aborted
-        assert trace.abort_reason
+    def test_nonfinite_gradient_abort(self, tmp_path, monkeypatch):
+        def nan_gradient(loss, grads):
+            grads["block.A.layer.0.attn.q"] = np.full_like(
+                grads["block.A.layer.0.attn.q"], np.nan)
+            return loss
+
+        trace = abort_at_step_3(tmp_path, monkeypatch, nan_gradient)
+        assert trace.abort_reason == (
+            "non-finite gradient in 'block.A.layer.0.attn.q' at step 3")
+
+    def test_nonfinite_loss_abort(self, tmp_path, monkeypatch):
+        trace = abort_at_step_3(tmp_path, monkeypatch, lambda loss, grads: np.nan)
+        assert trace.abort_reason == "non-finite loss at step 3"
 
     def test_empty_batches_rejected(self):
         model, params, _, cfg = tiny_setup(total_steps=5)
