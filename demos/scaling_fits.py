@@ -55,19 +55,19 @@ print()
 print("4. Crossovers. Two depths, same exponent: deeper recursion pays a")
 print("   higher amplitude (fewer optimizer steps per unit compute) but")
 print("   buys a lower floor, so it wins only past a breakpoint.")
-family = rl.RCurveFamily({
+family = {
     1: rl.FitResult(beta=3.0, c=0.30, eps_inf=0.120, residual=0.0,
                     n_points=8, fit_x_min=1e2, fit_x_max=1e8),
     2: rl.FitResult(beta=5.0, c=0.30, eps_inf=0.050, residual=0.0,
                     n_points=8, fit_x_min=1e2, fit_x_max=1e8),
-})
+}
 grid = np.geomspace(1e2, 1e10, 2048)
 res = rl.optimal_r(family, grid)
 for x0, r0 in res.breakpoints:
     print(f"   from compute {x0:10.3e}: r={r0} is optimal")
 # closed form: beta1 x^-c + f1 = beta2 x^-c + f2 at the switch
-exact = ((family.fits[2].beta - family.fits[1].beta)
-         / (family.fits[1].eps_inf - family.fits[2].eps_inf)) ** (1 / 0.30)
+exact = ((family[2].beta - family[1].beta)
+         / (family[1].eps_inf - family[2].eps_inf)) ** (1 / 0.30)
 print(f"   closed-form crossover: {exact:.3e} "
       f"(grid locates it to one spacing, "
       f"{grid[1] / grid[0]:.4f}x)")

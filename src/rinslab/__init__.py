@@ -16,7 +16,6 @@ from .signatures import (
     to_tagged,
     expand,
     rins_rounds,
-    layers_per_block,
     leaf_label,
 )
 from .ledger import (
@@ -63,7 +62,6 @@ from .corpus import (
 from .scaling import (
     FitError,
     FitResult,
-    RCurveFamily,
     OptimalRResult,
     fit_power_law,
     optimal_r,
@@ -102,7 +100,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Signature", "SignatureParseError", "ExecutionPlan", "parse", "parse_tagged",
-    "to_tagged", "expand", "rins_rounds", "layers_per_block", "leaf_label",
+    "to_tagged", "expand", "rins_rounds", "leaf_label",
     "InfeasiblePlanError", "ModelDims", "param_count", "step_cost",
     "matched_steps", "expected_stochastic_cost", "enumerate_sweep",
     "RecursionPolicy", "RecursiveModel", "sample_rounds",
@@ -114,7 +112,7 @@ __all__ = [
     "default_grammar", "validate_grammar", "min_depths",
     "generate_corpus", "pack_sequences", "segments_from_boundaries",
     "save_tokens", "load_tokens", "ingest_text",
-    "FitError", "FitResult", "RCurveFamily", "OptimalRResult", "fit_power_law",
+    "FitError", "FitResult", "OptimalRResult", "fit_power_law",
     "optimal_r", "write_fits_json", "write_breakpoints_csv",
     "TemplateError", "ContextOverflowError", "MCQItem", "EvalResult",
     "render_template", "render_parts", "score_option", "eval_mcq",

@@ -326,6 +326,8 @@ def save_tokens(path, documents: Sequence[Sequence[int]], meta: Optional[dict] =
 
 
 def load_tokens(path) -> tuple[list[list[int]], dict]:
+    """Documents and sidecar of a save_tokens file. A sidecar whose counts
+    do not cover the file exactly is refused with a ValueError."""
     path = Path(path)
     sidecar = json.loads(
         path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8")
@@ -336,9 +338,19 @@ def load_tokens(path) -> tuple[list[list[int]], dict]:
             f"token file {path} holds {flat.size} tokens, sidecar says "
             f"{sidecar['n_tokens']}"
         )
+    lengths = sidecar["doc_lengths"]
+    if min(lengths, default=0) < 0:
+        raise ValueError(
+            f"token file {path}: sidecar gives doc length {min(lengths)}"
+        )
+    if sum(lengths) != flat.size:
+        raise ValueError(
+            f"token file {path}: sidecar doc lengths sum to {sum(lengths)}, "
+            f"not its {flat.size} tokens"
+        )
     docs = []
     off = 0
-    for n in sidecar["doc_lengths"]:
+    for n in lengths:
         docs.append(flat[off:off + n].tolist())
         off += n
     return docs, sidecar

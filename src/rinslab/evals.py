@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import ByteTokenizer, segments_from_boundaries
+from .layers import log_softmax
 from .model import RecursiveModel
 
 __all__ = [
@@ -248,9 +249,7 @@ def _score_packs(model, params, packs, depths):
     logits_by_group = model.forward_groups(params, groups, depths, batch)
     for group, logits_by_depth in zip(groups, logits_by_group):
         for scored, logits in zip(scores, logits_by_depth):
-            m = logits.max(axis=-1, keepdims=True)
-            z = logits - m
-            logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            logp = log_softmax(logits)
             for b, n in enumerate(group):
                 per_opt = [float(-logp[b, idx, ids].mean())
                            for idx, ids in packs[n].gathers]

@@ -59,7 +59,6 @@ from .model import RecursionPolicy, RecursiveModel, adapter_fraction
 from .optim import TrainConfig
 from .scaling import (
     FitResult,
-    RCurveFamily,
     fit_power_law,
     optimal_r,
     write_breakpoints_csv,
@@ -69,7 +68,6 @@ from .signatures import (
     Signature,
     SignatureParseError,
     expand,
-    layers_per_block,
     parse_tagged,
     rins_rounds,
     to_tagged,
@@ -332,7 +330,10 @@ def _resolve_corpus(ref: str, dims: ModelDims, default_seed: int, base_dir: Path
         path = base_dir / path
     if not path.exists():
         raise ConfigError(f"corpus ref {ref!r}: file not found at {path}")
-    docs, _ = corpus_mod.load_tokens(path)
+    try:
+        docs, _ = corpus_mod.load_tokens(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"corpus ref {ref!r}: {type(e).__name__}: {e}") from e
     min_id = min((min(d) for d in docs if d), default=0)
     if min_id < 0:
         raise ConfigError(f"corpus ref {ref!r}: negative token id {min_id}")
@@ -381,7 +382,6 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
 
     root = output_root(out_root)
     run_dir = root / spec.out_dir
-    run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     ckpt_path = run_dir / "checkpoint.rlab"
 
@@ -458,6 +458,8 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         "status": "running",
         "started_at": time.time(),
     }
+    # the directory is made only now, so a spec that fails above leaves none
+    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.ini").write_text(text, encoding="utf-8")
     _write_json_atomic(manifest_path, manifest)
 
@@ -559,7 +561,7 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
             "signature": sig.symbols,
             "degree": sig.degree,
             "feasible": feasible,
-            "layers_per_block": layers_per_block(sig, dims.total_layers),
+            "layers_per_block": plan_layers_per_block(sig, dims) if feasible else 0,
         }
         if not feasible:
             row["status"] = "skipped-infeasible"
@@ -713,9 +715,7 @@ def cmd_report(
 
     family_map = _family([manifest for manifest, _ in runs])
     if family_map:
-        family = RCurveFamily(
-            {r: fits[name] for r, name in family_map.items()}
-        )
+        family = {r: fits[name] for r, name in family_map.items()}
         rs = sorted(family_map)
         cs = [fits[family_map[r]].c for r in rs]
         betas = [fits[family_map[r]].beta for r in rs]
@@ -728,8 +728,8 @@ def cmd_report(
                 b < a for a, b in zip(final_losses, final_losses[1:])
             ),
         }
-        x_lo = min(f.fit_x_min for f in family.fits.values())
-        x_hi = max(f.fit_x_max for f in family.fits.values())
+        x_lo = min(f.fit_x_min for f in family.values())
+        x_hi = max(f.fit_x_max for f in family.values())
         grid = np.geomspace(max(x_lo, 1e-12), x_hi, 512)
         result = optimal_r(family, grid)
         write_breakpoints_csv(out_dir / "breakpoints.csv", result)

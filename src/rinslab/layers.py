@@ -34,6 +34,7 @@ __all__ = [
     "attention_bwd",
     "mlp_fwd",
     "mlp_bwd",
+    "log_softmax",
     "softmax_xent_fwd",
     "softmax_xent_bwd",
 ]
@@ -261,13 +262,17 @@ def mlp_bwd(dout, cache, p, prefix):
     return dxn.reshape(dout.shape[:-1] + (-1,)), grads
 
 
+def log_softmax(logits):
+    """Log-probabilities over the last axis, shifted by the row max."""
+    m = logits.max(axis=-1, keepdims=True)
+    z = logits - m
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def softmax_xent_fwd(logits, targets):
     """Mean token-level cross entropy in nats. targets: int, shaped like the
     leading axes of logits."""
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    logp = log_softmax(logits)
     targets = np.asarray(targets)
     rows = logp.reshape(-1, logp.shape[-1])
     picked = rows[np.arange(len(rows)), targets.reshape(-1)]

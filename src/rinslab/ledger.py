@@ -20,13 +20,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Literal
 
-from .signatures import (
-    ExecutionPlan,
-    Signature,
-    layers_per_block,
-    parse,
-    to_tagged,
-)
+from .signatures import ExecutionPlan, Signature, parse, to_tagged
 
 __all__ = [
     "InfeasiblePlanError",
@@ -72,13 +66,18 @@ class ModelDims:
             )
 
 
+def _layers_per_block(plan: ExecutionPlan | Signature, total_layers: int) -> int:
+    """total_layers // plan.unique_leaf_count; 0 means infeasible."""
+    return total_layers // plan.unique_leaf_count
+
+
 def plan_layers_per_block(plan: ExecutionPlan | Signature, dims: ModelDims) -> int:
     """Layers each of the plan's distinct leaf blocks gets: total_layers //
     plan.unique_leaf_count, the leaves the executor builds parameters for.
     Raises InfeasiblePlanError when that is 0. A Signature stands for
     expand(sig), whose leaf count it gives by arithmetic, so a spec is
     checked before its plan is built."""
-    lpb = dims.total_layers // plan.unique_leaf_count
+    lpb = _layers_per_block(plan, dims.total_layers)
     if lpb < 1:
         source = plan if isinstance(plan, Signature) else plan.source
         raise InfeasiblePlanError(
@@ -190,7 +189,7 @@ SWEEP_SIGNATURES: tuple[Signature, ...] = tuple(
 
 def enumerate_sweep(total_layers: int) -> list[tuple[Signature, bool]]:
     """Fixed candidate list with per-candidate feasibility at this depth."""
-    out = []
-    for sig in SWEEP_SIGNATURES:
-        out.append((sig, layers_per_block(sig, total_layers) >= 1))
-    return out
+    if total_layers < 1:
+        raise ValueError(f"total_layers must be >= 1, got {total_layers}")
+    return [(sig, _layers_per_block(sig, total_layers) >= 1)
+            for sig in SWEEP_SIGNATURES]

@@ -1,13 +1,9 @@
 """Recursive transformer executor with hand-composed backward pass.
 
 The executor runs an ExecutionPlan over a bank of leaf blocks that share
-parameters whenever the plan repeats a leaf id. Depth is set by the plan's
-skip mask: positions marked skip_eligible may be dropped, every other
-position always runs, and r_max = 1 + the number of eligible positions.
-rounds = k runs the always-run positions plus the first k - 1 eligible ones,
-so for A^r B (first A and B always run, the middle As eligible) k rounds
-execute k calls of A and then B. Plans without eligible positions have
-r_max = 1 and always run in full. Three optional mechanisms layer on top:
+parameters whenever the plan repeats a leaf id. rounds = k runs the leaf
+calls plan.calls(k) lists, for k in [1, plan.r_max]: for A^r B, k calls of A
+and then B. Three optional mechanisms layer on top:
 
   * stochastic depth: rounds = 1 + Binomial(r_max - 1, 1 - p_skip), sampled
     once per step;
@@ -80,10 +76,9 @@ __all__ = [
 class RecursionPolicy:
     """Recursion behavior knobs.
 
-    r_max must equal 1 + the number of skip-eligible positions in the plan
-    (the recursion count r for A^r B, 1 for plans without eligible
-    positions). inference_rounds, when set, fixes the round count used
-    by forward() when no explicit rounds argument is given.
+    r_max must equal the plan's r_max (the recursion count r for A^r B).
+    inference_rounds, when set, fixes the round count used by forward()
+    when no explicit rounds argument is given.
     """
 
     r_max: int = 1
@@ -210,12 +205,11 @@ class RecursiveModel:
         self.policy = policy
         self.dtype = np.dtype(dtype)
         self.layers_per_block = plan_layers_per_block(plan, dims)
-        self._eligible = [i for i, e in enumerate(plan.skip_eligible) if e]
-        if policy.r_max != 1 + len(self._eligible):
+        if policy.r_max != plan.r_max:
             raise ValueError(
                 f"policy r_max {policy.r_max} does not match plan "
-                f"{to_tagged(plan.source)}: {len(self._eligible)} skip-eligible "
-                f"positions give r_max {1 + len(self._eligible)}"
+                f"{to_tagged(plan.source)}: {plan.r_max - 1} skip-eligible "
+                f"positions give r_max {plan.r_max}"
             )
         if (policy.kv_share or policy.adapters) and not _is_rins(plan.leaf_sequence):
             raise ValueError(
@@ -296,15 +290,6 @@ class RecursiveModel:
                 f"rounds must be in [1, {self.policy.r_max}], got {rounds}"
             )
         return rounds
-
-    def leaf_exec(self, rounds: Optional[int] = None) -> list[int]:
-        """Leaf call sequence executed for this round count: every position
-        that always runs plus the first rounds - 1 skip-eligible ones."""
-        dropped = set(self._eligible[self.resolve_rounds(rounds) - 1:])
-        return [
-            leaf for i, leaf in enumerate(self.plan.leaf_sequence)
-            if i not in dropped
-        ]
 
     def forward(self, params, tokens, rounds=None, segments=None):
         return self.forward_with_info(params, tokens, rounds, segments)[0]
@@ -413,7 +398,8 @@ class RecursiveModel:
 
     def kv_cache_bytes(self, rounds=None) -> int:
         """K/V bytes per sequence at seq_len for this round count; see _kv_bytes."""
-        return self._kv_bytes(self.leaf_exec(rounds), self.dims.seq_len)
+        return self._kv_bytes(self.plan.calls(self.resolve_rounds(rounds)),
+                              self.dims.seq_len)
 
     # -------------------------------------------------------------- internals
 
@@ -453,7 +439,7 @@ class RecursiveModel:
         states = {(): (h, {})}
         logits, infos = {}, {}
         for k in sorted(set(depths)):
-            seq = self.leaf_exec(k)
+            seq = self.plan.calls(k)
             adapter = f"adapter.{k}" if self.policy.adapters else None
             shared = len(seq) - (adapter is not None)  # calls before any adapter
             n = shared

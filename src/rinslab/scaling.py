@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "FitError",
     "FitResult",
     "fit_power_law",
-    "RCurveFamily",
     "OptimalRResult",
     "optimal_r",
     "write_fits_json",
@@ -186,24 +185,6 @@ def fit_power_law(
     )
 
 
-@dataclass(frozen=True)
-class RCurveFamily:
-    """One FitResult per round count, fitted over a shared compute axis."""
-
-    fits: dict[int, FitResult] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.fits:
-            raise ValueError("family needs at least one fitted curve")
-        for r in self.fits:
-            if not isinstance(r, int) or r < 1:
-                raise ValueError(f"round keys must be positive integers, got {r!r}")
-
-    @property
-    def rounds(self) -> list[int]:
-        return sorted(self.fits)
-
-
 @dataclass
 class OptimalRResult:
     """Per-grid-point winners plus the switch points.
@@ -223,19 +204,25 @@ class OptimalRResult:
         return bool(self.extrapolated.any())
 
 
-def optimal_r(family: RCurveFamily, compute_grid: Sequence[float]) -> OptimalRResult:
-    """Pick the loss-minimizing round count at every compute value.
+def optimal_r(fits: dict[int, FitResult], compute_grid: Sequence[float]) -> OptimalRResult:
+    """Pick the loss-minimizing round count at every compute value; fits
+    maps each round count r to its curve over a shared compute axis.
 
     Ties go to the smaller r. Breakpoint precision equals the grid spacing,
     so pass a dense grid where precision matters.
     """
+    if not fits:
+        raise ValueError("optimal_r needs at least one fitted curve")
+    for r in fits:
+        if not isinstance(r, int) or r < 1:
+            raise ValueError(f"round keys must be positive integers, got {r!r}")
     grid = np.asarray(list(compute_grid), dtype=np.float64)
     if grid.size < 1 or np.any(grid <= 0):
         raise ValueError("compute grid must be non-empty and positive")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("compute grid must be strictly increasing")
-    rounds = family.rounds
-    preds = np.stack([family.fits[r].predict(grid) for r in rounds])
+    rounds = sorted(fits)
+    preds = np.stack([fits[r].predict(grid) for r in rounds])
     # argmin over the first axis returns the first (smallest) r on ties.
     winner_idx = preds.argmin(axis=0)
     r_star = np.array([rounds[i] for i in winner_idx], dtype=np.int64)
@@ -245,8 +232,8 @@ def optimal_r(family: RCurveFamily, compute_grid: Sequence[float]) -> OptimalRRe
         if r_star[i] != r_star[i - 1]:
             breakpoints.append((float(grid[i]), int(r_star[i])))
 
-    x_lo = min(f.fit_x_min for f in family.fits.values())
-    x_hi = max(f.fit_x_max for f in family.fits.values())
+    x_lo = min(f.fit_x_min for f in fits.values())
+    x_hi = max(f.fit_x_max for f in fits.values())
     extrapolated = (grid > 10.0 * x_hi) | (grid < x_lo / 10.0)
     return OptimalRResult(grid, r_star, breakpoints, extrapolated)
 

@@ -27,7 +27,6 @@ __all__ = [
     "to_tagged",
     "expand",
     "rins_rounds",
-    "layers_per_block",
     "leaf_label",
 ]
 
@@ -172,8 +171,8 @@ class ExecutionPlan:
     execution order. unique_leaf_count is the number of distinct leaf blocks:
     parameters exist once per distinct leaf, so it fixes parameter count.
     skip_eligible marks positions the stochastic sampler may drop; the first
-    and last positions are never eligible. The executor's r_max is 1 + the
-    number of eligible positions.
+    and last positions are never eligible. r_max is 1 + the number of
+    eligible positions, and calls(k) lists the leaf calls k rounds run.
     """
 
     leaf_sequence: tuple[int, ...]
@@ -195,6 +194,20 @@ class ExecutionPlan:
 
     def __len__(self) -> int:
         return len(self.leaf_sequence)
+
+    @property
+    def r_max(self) -> int:
+        """Most rounds the plan runs: 1 + its skip-eligible positions."""
+        return 1 + sum(self.skip_eligible)
+
+    def calls(self, rounds: int) -> list[int]:
+        """Leaf ids that `rounds` rounds execute, in order: every position
+        that always runs plus the first rounds - 1 skip-eligible ones."""
+        if not (1 <= rounds <= self.r_max):
+            raise ValueError(f"rounds must be in [1, {self.r_max}], got {rounds}")
+        eligible = [i for i, e in enumerate(self.skip_eligible) if e]
+        dropped = set(eligible[rounds - 1:])
+        return [leaf for i, leaf in enumerate(self.leaf_sequence) if i not in dropped]
 
 
 def _expand_ids(symbols: str, degree: int, next_id: int) -> tuple[list[int], int]:
@@ -235,13 +248,3 @@ def expand(sig: Signature) -> ExecutionPlan:
         mask = (False,) + (True,) * (r - 1) + (False,)
     return ExecutionPlan(tuple(seq), unique, mask, sig)
 
-
-def layers_per_block(sig: Signature, total_layers: int) -> int:
-    """Layers each distinct leaf block gets: total_layers // unique leaves.
-
-    0 means the signature is infeasible at this depth (more distinct leaf
-    blocks than layers to hand out).
-    """
-    if total_layers < 1:
-        raise ValueError(f"total_layers must be >= 1, got {total_layers}")
-    return total_layers // sig.unique_leaf_count

@@ -5,7 +5,7 @@ schedule drawn once from cfg.seed before step 1 (a shorter run's schedule
 is a prefix of a longer one's). Compute is accounted in per-sequence
 layer-pass units by the ledger: the trace's expected-cost figure is
 expected_stochastic_cost, and the cumulative column sums layer_pass_cost of
-the calls each step executed. Divergence (loss
+the calls each step's round count runs (plan.calls). Divergence (loss
 above 10x the first step's loss) and non-finite gradients abort the run
 early with the partial trace marked aborted rather than raising.
 
@@ -188,7 +188,7 @@ def train(
         )
 
         try:
-            loss, grads, info = model.loss_and_grads(
+            loss, grads, _ = model.loss_and_grads(
                 params, batch.tokens, batch.targets, rounds=rounds, segments=segments
             )
         except FloatingPointError as e:
@@ -200,7 +200,8 @@ def train(
             trace.abort_reason = f"non-finite loss at step {step}"
             break
 
-        cum_compute += layer_pass_cost(model.plan, model.dims, len(info["exec"]))
+        calls = len(model.plan.calls(rounds))
+        cum_compute += layer_pass_cost(model.plan, model.dims, calls)
 
         if initial_loss is None:
             initial_loss = loss

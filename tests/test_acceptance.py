@@ -281,7 +281,7 @@ def test_criterion_08_stochastic_sampling(small_dims):
     lpb = model.layers_per_block
     seq = small_dims.seq_len
     cost_at = {
-        k: len(model.leaf_exec(k)) * lpb * seq for k in (1, 2, 3)
+        k: len(model.plan.calls(k)) * lpb * seq for k in (1, 2, 3)
     }
     sub = draws[:10_000]
     realized = float(np.mean([cost_at[int(k)] for k in sub]))
@@ -347,16 +347,14 @@ def test_criterion_10_scaling_law_recovery():
     rescale_err = abs(f_scaled.c - f.c) / f.c
     rescale_ok = rescale_err < 0.01
 
-    fam = rl.RCurveFamily(
-        {
-            1: rl.FitResult(3.0, 0.45, 0.12, 0.0, 8, 1e2, 1e8),
-            2: rl.FitResult(5.0, 0.60, 0.05, 0.0, 8, 1e2, 1e8),
-        }
-    )
+    fam = {
+        1: rl.FitResult(3.0, 0.45, 0.12, 0.0, 8, 1e2, 1e8),
+        2: rl.FitResult(5.0, 0.60, 0.05, 0.0, 8, 1e2, 1e8),
+    }
     res = rl.optimal_r(fam, np.geomspace(1e2, 1e8, 4000))
     bps = {r: xb for xb, r in res.breakpoints}
     lo, hi = 1e2, 1e8
-    fa, fb = fam.fits[1], fam.fits[2]
+    fa, fb = fam[1], fam[2]
     for _ in range(200):
         mid = np.sqrt(lo * hi)
         if fa.predict(mid) - fb.predict(mid) > 0:

@@ -274,6 +274,20 @@ class TestCmdRun:
         assert rl.config_hash(rl.parse_run_config(kept.decode())) == \
             manifest["config_hash"] == done["config_hash"]
 
+    def test_failed_rerun_leaves_finished_run_dir_unchanged(self, tmp_path):
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(make_ini(signature="AB"))
+        rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        run_dir = tmp_path / "runs" / "demo"
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+        rl.save_tokens(tmp_path / "bare.tokens", [[i % 60 for i in range(300)]])
+        (tmp_path / "bare.tokens.json").unlink()
+        cfg.write_text(make_ini(signature="AB").replace(
+            "train = grammar:600", "train = bare.tokens"))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         text = make_ini(total_steps=9)
         cfg = tmp_path / "demo.ini"
@@ -802,6 +816,34 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "'neg.tokens'" in err and "-3" in err
         assert not (tmp_path / "runs" / "demo" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sidecar", [
+        None,                                              # missing
+        "{not json",
+        '{"n_tokens": 300, "doc_lengths": [150, 149]}',    # sums short
+        '{"n_tokens": 300, "doc_lengths": [200, -1, 101]}',
+        '{"n_tokens": 300}',
+    ])
+    @pytest.mark.parametrize("line", ["train = side.tokens",
+                                      "train = grammar:600\neval = held=side.tokens"])
+    def test_unreadable_sidecar_is_2(self, tmp_path, capsys, line, sidecar):
+        rl.save_tokens(tmp_path / "side.tokens", [[i % 60 for i in range(300)]])
+        side = tmp_path / "side.tokens.json"
+        if sidecar is None:
+            side.unlink()
+        else:
+            side.write_text(sidecar)
+        cfg = tmp_path / "side.ini"
+        cfg.write_text(make_ini().replace("train = grammar:600", line))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert "'side.tokens'" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "demo").exists()
+
+    def test_corpus_error_leaves_no_run_dir(self, tmp_path):
+        cfg = tmp_path / "missing.ini"
+        cfg.write_text(make_ini().replace("train = grammar:600", "train = missing.tokens"))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs" / "demo").exists()
 
     def test_missing_file_is_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.ini")]) == 2

@@ -1,5 +1,7 @@
 """Grammar sampling, packing, and tokenizer behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,17 @@ class TestStorage:
         raw = path.read_bytes()
         path.write_bytes(raw + b"\x00\x00\x00\x00")
         with pytest.raises(ValueError):
+            rl.load_tokens(path)
+
+    @pytest.mark.parametrize("lengths", [[3, 3], [6, 6], [4, -1, 7]])
+    def test_doc_lengths_must_cover_the_file(self, tmp_path, lengths):
+        # short, long, and a negative length that still sums to n_tokens
+        path = tmp_path / "c.tokens"
+        rl.save_tokens(path, [list(range(10))])
+        sidecar = tmp_path / "c.tokens.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "doc_lengths": lengths}))
+        with pytest.raises(ValueError, match="c.tokens"):
             rl.load_tokens(path)
 
     def test_ingest_text_splits_paragraphs(self, tmp_path):

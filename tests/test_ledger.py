@@ -1,5 +1,6 @@
 """Parameter and compute accounting against hand-derived sums."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import rinslab as rl
-from rinslab.ledger import layer_pass_cost
+from rinslab.ledger import layer_pass_cost, plan_layers_per_block
 
 
 def hand_params(dims: rl.ModelDims, n_blocks: int, lpb: int) -> int:
@@ -185,7 +186,7 @@ class TestOneLedger:
     def test_ledger_prices_what_the_executor_builds_and_runs(self, tiny_dims, hand_plan):
         model = rl.RecursiveModel(tiny_dims, hand_plan, rl.RecursionPolicy(r_max=3))
         assert model.layers_per_block == 1  # 4 layers // 3 leaves
-        passes = len(model.leaf_exec(3)) * model.layers_per_block * tiny_dims.seq_len
+        passes = len(model.plan.calls(3)) * model.layers_per_block * tiny_dims.seq_len
         assert rl.step_cost(hand_plan, tiny_dims) == passes == 20
         params = model.init_params(0)
         assert rl.param_count(hand_plan, tiny_dims) == sum(p.size for p in params.values())
@@ -268,3 +269,69 @@ class TestOneLedger:
                 rl.parse_run_config(ini)
             times.append(time.perf_counter() - t0)
         assert min(times) < 0.02, times
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+def _agreement_plans():
+    """Every sweep candidate feasible at 4 or 8 layers, plus hand-built masks."""
+    cases = [
+        (sig, layers) for layers in (4, 8)
+        for sig, feasible in rl.enumerate_sweep(layers) if feasible
+    ]
+    plans = [(rl.expand(sig), layers) for sig, layers in cases]
+    hand = [
+        ((0, 1, 2, 1, 3), 4, (False, True, False, True, False)),
+        ((0, 1, 0, 1), 2, (False, True, True, False)),
+        ((0, 1, 2, 0), 3, (False, True, True, False)),
+        ((0, 0, 1, 0, 1), 2, (False, False, True, True, False)),
+    ]
+    plans += [(rl.ExecutionPlan(seq, n, mask, rl.parse("AB")), layers)
+              for seq, n, mask in hand for layers in (4, 8)]
+    return plans
+
+
+class TestLedgerAndPlanAgree:
+    dims = {layers: rl.ModelDims(d_model=8, n_heads=2, mlp_dim=16, vocab=11,
+                                 seq_len=5, total_layers=layers) for layers in (4, 8)}
+
+    def test_calls_nest_and_price_every_plan(self):
+        plans = _agreement_plans()
+        assert len(plans) > 30 and any(p.r_max >= 3 for p, _ in plans)
+        for plan, layers in plans:
+            dims = self.dims[layers]
+            assert plan.calls(plan.r_max) == list(plan.leaf_sequence)
+            for k in range(1, plan.r_max):
+                short, long = plan.calls(k), plan.calls(k + 1)
+                assert len(short) == len(long) - 1 and _is_subsequence(short, long)
+            for k in (0, plan.r_max + 1):
+                with pytest.raises(ValueError):
+                    plan.calls(k)
+            assert rl.step_cost(plan, dims) == layer_pass_cost(
+                plan, dims, len(plan.calls(plan.r_max)))
+
+    @pytest.mark.parametrize("p_skip", [0.25, 0.5, 0.8])
+    def test_expected_cost_is_the_binomial_mean_of_calls(self, p_skip):
+        stochastic = [(p, n) for p, n in _agreement_plans() if p.r_max >= 2]
+        assert len(stochastic) >= 8
+        for plan, layers in stochastic:
+            dims, n = self.dims[layers], plan.r_max - 1
+            q = 1.0 - p_skip  # each eligible call runs with probability q
+            want = sum(
+                math.comb(n, j) * q ** j * (1.0 - q) ** (n - j)
+                * layer_pass_cost(plan, dims, len(plan.calls(1 + j)))
+                for j in range(n + 1)
+            )
+            got = rl.expected_stochastic_cost(plan, dims, p_skip)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_layers_per_block(self):
+        assert plan_layers_per_block(rl.parse("AB"), self.dims[4]) == 2
+        assert plan_layers_per_block(rl.parse("ABB", degree=2), self.dims[8]) == 2
+        sig = rl.parse("ABBC", degree=2)  # 9 leaves at 8 layers
+        with pytest.raises(rl.InfeasiblePlanError, match="layers_per_block=0"):
+            plan_layers_per_block(sig, self.dims[8])
+        assert dict(rl.enumerate_sweep(8))[sig] is False

@@ -112,13 +112,11 @@ class TestSerialization:
 
 
 def family(x_lo=1e3, x_hi=1e6):
-    return rl.RCurveFamily(
-        {
-            1: rl.FitResult(3.0, 0.30, 0.50, 0.0, 10, x_lo, x_hi),
-            2: rl.FitResult(6.0, 0.38, 0.35, 0.0, 10, x_lo, x_hi),
-            3: rl.FitResult(12.0, 0.45, 0.25, 0.0, 10, x_lo, x_hi),
-        }
-    )
+    return {
+        1: rl.FitResult(3.0, 0.30, 0.50, 0.0, 10, x_lo, x_hi),
+        2: rl.FitResult(6.0, 0.38, 0.35, 0.0, 10, x_lo, x_hi),
+        3: rl.FitResult(12.0, 0.45, 0.25, 0.0, 10, x_lo, x_hi),
+    }
 
 
 def bisect_crossover(f_a, f_b, lo, hi, iters=200):
@@ -146,16 +144,14 @@ class TestOptimalR:
         grid = np.geomspace(1e2, 1e8, 4000)
         res = rl.optimal_r(fam, grid)
         bps = dict((r, x) for x, r in res.breakpoints)
-        x12 = bisect_crossover(fam.fits[1], fam.fits[2], 1e2, 1e8)
+        x12 = bisect_crossover(fam[1], fam[2], 1e2, 1e8)
         assert bps[2] == pytest.approx(x12, rel=0.02)
 
     def test_tie_goes_to_smaller_r(self):
-        fam = rl.RCurveFamily(
-            {
-                1: rl.FitResult(2.0, 0.5, 0.1, 0.0, 8, 1e3, 1e6),
-                2: rl.FitResult(2.0, 0.5, 0.1, 0.0, 8, 1e3, 1e6),
-            }
-        )
+        fam = {
+            1: rl.FitResult(2.0, 0.5, 0.1, 0.0, 8, 1e3, 1e6),
+            2: rl.FitResult(2.0, 0.5, 0.1, 0.0, 8, 1e3, 1e6),
+        }
         res = rl.optimal_r(fam, np.geomspace(1e3, 1e6, 50))
         assert all(r == 1 for _, r in res.breakpoints)
 
@@ -172,15 +168,13 @@ class TestOptimalR:
     def test_unit_rescaling_invariance(self):
         # scaling beta and eps_inf together rescales losses, not the argmin
         fam = family()
-        scaled = rl.RCurveFamily(
-            {
-                r: rl.FitResult(
-                    f.beta * 7.0, f.c, f.eps_inf * 7.0, f.residual,
-                    f.n_points, f.fit_x_min, f.fit_x_max,
-                )
-                for r, f in fam.fits.items()
-            }
-        )
+        scaled = {
+            r: rl.FitResult(
+                f.beta * 7.0, f.c, f.eps_inf * 7.0, f.residual,
+                f.n_points, f.fit_x_min, f.fit_x_max,
+            )
+            for r, f in fam.items()
+        }
         grid = np.geomspace(1e2, 1e8, 500)
         a = rl.optimal_r(fam, grid)
         b = rl.optimal_r(scaled, grid)

@@ -139,11 +139,6 @@ class TestExpansionOracle:
         with pytest.raises(ValueError):
             rl.ExecutionPlan(seq, 2, (False, True), sig)  # wrong length
 
-    def test_layers_per_block(self):
-        assert rl.layers_per_block(rl.parse("AB"), 4) == 2
-        assert rl.layers_per_block(rl.parse("ABB", degree=2), 8) == 2
-        assert rl.layers_per_block(rl.parse("ABBC", degree=2), 8) == 0
-
 
 class TestPlanSerialization:
     def test_leaf_labels(self):

@@ -101,7 +101,7 @@ class TestStochasticRecording:
         seq = model.dims.seq_len
         expect = 0.0
         for rec in trace.records:
-            calls = len(model.leaf_exec(rec.rounds))
+            calls = len(model.plan.calls(rec.rounds))
             expect += calls * lpb * seq
             assert rec.compute == pytest.approx(expect)
         assert trace.expected_cost_per_step == pytest.approx(
@@ -119,7 +119,7 @@ class TestStochasticRecording:
         model = rl.RecursiveModel(dims, plan, rl.RecursionPolicy(r_max=3, p_skip=0.5))
         ledger = rl.expected_stochastic_cost(plan, dims, 0.5)
         lpb, seq = model.layers_per_block, dims.seq_len
-        cost = {k: len(model.leaf_exec(k)) * lpb * seq for k in (1, 2, 3)}
+        cost = {k: len(model.plan.calls(k)) * lpb * seq for k in (1, 2, 3)}
         assert cost[3] == rl.step_cost(plan, dims)
         # rounds ~ 1 + Binomial(2, 0.5): weights 1/4, 1/2, 1/4
         assert 0.25 * cost[1] + 0.5 * cost[2] + 0.25 * cost[3] == ledger
