@@ -21,7 +21,6 @@ from .signatures import (
 from .ledger import (
     InfeasiblePlanError,
     ModelDims,
-    param_count,
     step_cost,
     matched_steps,
     expected_stochastic_cost,
@@ -32,6 +31,7 @@ from .model import (
     RecursiveModel,
     sample_rounds,
     adapter_fraction,
+    param_count,
     segments_to_mask,
 )
 from .optim import (

@@ -14,7 +14,8 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
     <out_dir>/checkpoint.rlab  params, optimizer state and trace so far, for resume
 
 Corpus references are either a path to a .tokens file or "grammar:N[:seed]"
-for N tokens of the house grammar. Train references default to seed 0 and
+for N tokens of the house grammar; a relative path is read against the
+directory of the spec that names it. Train references default to seed 0 and
 eval references to seed 1, so compute-matched runs share training data while
 evals stay held out; give explicit seeds to override. The model vocabulary
 reserves its top id for EOS, so a grammar corpus with terminal vocab 64
@@ -51,11 +52,10 @@ from .ledger import (
     enumerate_sweep,
     expected_stochastic_cost,
     matched_steps,
-    param_count,
     plan_layers_per_block,
     step_cost,
 )
-from .model import RecursionPolicy, RecursiveModel, adapter_fraction
+from .model import RecursionPolicy, RecursiveModel, adapter_fraction, param_count
 from .optim import TrainConfig
 from .scaling import (
     FitResult,
@@ -271,15 +271,14 @@ def parse_run_config(text: str) -> RunSpec:
             part = part.strip()
             if not part:
                 continue
-            if "=" not in part:
+            ename, eq, ref = (s.strip() for s in part.partition("="))
+            if not (ename and eq and ref):
                 raise ConfigError(
                     f"corpus.eval: expected name=ref entries, got {part!r}"
                 )
-            ename, _, ref = part.partition("=")
-            ename = ename.strip()
             if ename in [e for e, _ in evals]:
                 raise ConfigError(f"corpus.eval: eval name {ename!r} given twice")
-            evals.append((ename, ref.strip()))
+            evals.append((ename, ref))
 
     return RunSpec(
         name=run["name"],
@@ -353,6 +352,32 @@ def _batches_for(docs, dims: ModelDims, batch_size: int):
     )
 
 
+def _load_corpora(spec: RunSpec, base_dir: Path):
+    """The spec's train batches and {eval name: batches}, relative paths read
+    against base_dir; a ref that fails or yields no batch is a ConfigError."""
+    train_docs = _resolve_corpus(spec.corpus_train, spec.dims, 0, base_dir)
+    train_batches = _batches_for(train_docs, spec.dims, spec.train_cfg.batch_size)
+    if not train_batches:
+        raise ConfigError(
+            f"corpus.train: {spec.corpus_train!r} yields no batches at "
+            f"seq_len {spec.dims.seq_len}"
+        )
+    eval_batches = {}
+    for ename, ref in spec.corpus_evals:
+        docs = _resolve_corpus(ref, spec.dims, 1, base_dir)
+        got = _batches_for(docs, spec.dims, spec.train_cfg.batch_size)
+        if not got:
+            raise ConfigError(f"corpus.eval: {ref!r} yields no batches")
+        eval_batches[ename] = got
+    return train_batches, eval_batches
+
+
+def _anchored(ref: str, base_dir: Path) -> str:
+    """ref as a spec in another directory must write it: a path joined to
+    base_dir and made absolute, a grammar ref verbatim."""
+    return ref if ref.startswith("grammar:") else str((base_dir / ref).absolute())
+
+
 # ---------------------------------------------------------------------- runs
 
 
@@ -395,21 +420,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
     model = RecursiveModel(spec.dims, plan, spec.policy, dtype=np.dtype(spec.dtype))
     params = model.init_params(spec.seed)
 
-    base_dir = config_path.parent
-    train_docs = _resolve_corpus(spec.corpus_train, spec.dims, 0, base_dir)
-    train_batches = _batches_for(train_docs, spec.dims, spec.train_cfg.batch_size)
-    if not train_batches:
-        raise ConfigError(
-            f"corpus.train: {spec.corpus_train!r} yields no batches at "
-            f"seq_len {spec.dims.seq_len}"
-        )
-    eval_batches = {}
-    for ename, ref in spec.corpus_evals:
-        docs = _resolve_corpus(ref, spec.dims, 1, base_dir)
-        got = _batches_for(docs, spec.dims, spec.train_cfg.batch_size)
-        if not got:
-            raise ConfigError(f"corpus.eval: {ref!r} yields no batches")
-        eval_batches[ename] = got
+    train_batches, eval_batches = _load_corpora(spec, config_path.parent)
 
     # Facts of each process that trained this run, not config: they schedule
     # the work and change no result, so config_hash leaves them out. A
@@ -534,9 +545,12 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
 
     Candidates run one after another from the candidate-*.ini files written
     to the sweep directory; completed runs are skipped on re-invocation, so
-    an interrupted sweep resumes where it stopped. A candidate that raises
-    is recorded with status "failed" and the sweep goes on. Policies are
-    deterministic full-depth here; stochastic knobs belong to single runs.
+    an interrupted sweep resumes where it stopped. The shared sections and
+    corpus refs are checked before any candidate starts, relative paths
+    against the sweep spec's directory, and the candidate specs name those
+    paths resolved. A candidate that raises is recorded with status
+    "failed" and the sweep goes on. Policies are deterministic full-depth
+    here; stochastic knobs belong to single runs.
     Emits comparison.csv with one row per candidate, infeasible ones
     included."""
     config_path = Path(config_path)
@@ -546,8 +560,17 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
     sweep_name = raw["sweep"].get("name", "sweep")
     dims = _section(raw, "model")
     bsig = _signature(raw["sweep"]["baseline_signature"], "sweep.baseline_signature", dims)
-    # the shared sections fail here, once, not in every candidate
-    parse_run_config(_sweep_candidate_config(raw, bsig, sweep_name))
+    # the shared sections and corpora fail here, once, not in every candidate
+    spec = parse_run_config(_sweep_candidate_config(raw, bsig, sweep_name))
+    base_dir = config_path.parent
+    _load_corpora(spec, base_dir)
+    # candidate specs live under the out-root, so they name each path ref
+    # resolved against the sweep spec's directory
+    corpus = dict(raw["corpus"], train=_anchored(spec.corpus_train, base_dir))
+    evals = [(ename, _anchored(ref, base_dir)) for ename, ref in spec.corpus_evals]
+    if evals != list(spec.corpus_evals):
+        corpus["eval"] = ", ".join(f"{ename}={ref}" for ename, ref in evals)
+    raw = {**raw, "corpus": corpus}
 
     root = output_root(out_root)
     sweep_dir = root / sweep_name
@@ -779,7 +802,7 @@ def cmd_eval(
         raise ConfigError("--rounds: no round count given")
     for r in rounds_list:
         try:
-            model.resolve_rounds(r)
+            model.plan.calls(r)
         except ValueError as e:
             raise ConfigError(f"--rounds for {ckpt.signature}: {e}") from e
     items = read_task_jsonl(tasks_path)

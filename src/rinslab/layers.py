@@ -189,12 +189,12 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
 def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     """Backward for attention_fwd.
 
-    Returns (dxn, grads, dk, dv). When the forward consumed cached k/v, dk and
-    dv are the gradients w.r.t. those cached tensors and must be routed to the
-    call that produced them; grads then has no k/v projection entries. When
-    the forward produced its own k/v, pass any dk_extra/dv_extra accumulated
-    from later consumer calls and they are folded in before the projections;
-    dk and dv come back as None.
+    Returns (dxn, grads, dk, dv). dk_extra/dv_extra, the k/v gradients that
+    later calls consuming this call's k/v accumulated, are added to this
+    call's own. When the forward consumed cached k/v, dk and dv are the sums,
+    to be routed to the call that produced those tensors, and grads has no
+    k/v projection entries. When the forward produced its own k/v, the sums
+    go through the projections and dk and dv come back as None.
     """
     x2, qh, kh, vh, probs, ctx, consumed_cache, scale = cache
     B, n_heads, T, _ = qh.shape
@@ -223,13 +223,13 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     grads[prefix + "q_bias"] = dq.sum(axis=0)
     dxn = dq @ p[prefix + "q"].T
 
-    if consumed_cache:
-        return dxn.reshape(B, T, d), grads, dk.reshape(B, T, d), dv.reshape(B, T, d)
-
     if dk_extra is not None:
         dk += dk_extra.reshape(-1, d)
     if dv_extra is not None:
         dv += dv_extra.reshape(-1, d)
+    if consumed_cache:
+        return dxn.reshape(B, T, d), grads, dk.reshape(B, T, d), dv.reshape(B, T, d)
+
     grads[prefix + "k"] = x2.T @ dk
     grads[prefix + "k_bias"] = dk.sum(axis=0)
     grads[prefix + "v"] = x2.T @ dv

@@ -1,4 +1,4 @@
-"""Compute and parameter accounting for execution plans.
+"""Compute accounting for execution plans.
 
 This module is the one place that turns a plan into layers per block and
 into cost; the executor, the trainer and the run specs all read them from
@@ -6,12 +6,9 @@ here. Costs are forward-pass costs per sequence (batch size cancels out of
 every matched-budget ratio, so it is deliberately absent). The unit is the
 layer pass: executed leaf calls x layers_per_block x seq_len, priced by
 layer_pass_cost. Budget matching and expected stochastic cost use layer
-passes only; step_cost also reports "exact-flops", a per-token-per-layer
-FLOP formula, since the two units can rank variants differently when
-sequence length or width varies.
-
-Parameter count depends only on distinct leaf blocks, never on how often they
-are executed: recursion buys compute, not parameters.
+passes only; step_cost also reports "exact-flops", the FLOPs of the GEMMs a
+layer runs per token, since the two units can rank variants differently
+when sequence length or width varies.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ __all__ = [
     "CostMode",
     "plan_layers_per_block",
     "layer_pass_cost",
-    "param_count",
     "step_cost",
     "matched_steps",
     "expected_stochastic_cost",
@@ -95,42 +91,19 @@ def layer_pass_cost(plan: ExecutionPlan, dims: ModelDims, calls) -> float:
     return float(calls * plan_layers_per_block(plan, dims) * dims.seq_len)
 
 
-def _per_layer_params(dims: ModelDims) -> int:
-    d, mlp = dims.d_model, dims.mlp_dim
-    attn = 4 * (d * d + d)            # q, k, v, out projections with biases
-    ff = (d * mlp + mlp) + (mlp * d + d)
-    norms = 4 * d                     # two layer norms, gamma and beta each
-    return attn + ff + norms
-
-
-def param_count(plan: ExecutionPlan, dims: ModelDims) -> int:
-    """Total trainable parameters for the base architecture.
-
-    Counts token and position embeddings, one stack of layers_per_block layers
-    per distinct leaf block, the final norm, and the untied output head.
-    Invariant to repetition in the plan. Adapter banks are optional equipment
-    and not counted here (adapter_fraction reports their share).
-    """
-    lpb = plan_layers_per_block(plan, dims)
-    d = dims.d_model
-    embed = dims.vocab * d + dims.seq_len * d
-    head = d * dims.vocab + dims.vocab
-    final_norm = 2 * d
-    blocks = plan.unique_leaf_count * lpb * _per_layer_params(dims)
-    return embed + head + final_norm + blocks
-
-
 def _flops_per_token_layer(dims: ModelDims) -> float:
     d = dims.d_model
-    return 12.0 * d * d + 4.0 * d * dims.seq_len / 2.0 + 4.0 * d * dims.mlp_dim
+    return 8.0 * d * d + 4.0 * d * dims.seq_len + 4.0 * d * dims.mlp_dim
 
 
 def step_cost(plan: ExecutionPlan, dims: ModelDims, mode: CostMode = "layer-pass") -> float:
     """Forward cost of one training sequence under the plan.
 
     layer-pass: layer_pass_cost of every call in the plan (an integer).
-    exact-flops: the same layer count times a per-token FLOP estimate; MACs
-    count as 2 FLOPs and causal attention scores average seq_len/2 keys.
+    exact-flops: the same layer count times the FLOPs a layer's GEMMs run
+    per token, with a MAC counted as 2 FLOPs: 8 d^2 for the q, k, v and out
+    projections, 4 d mlp_dim for the MLP, and 4 d seq_len for QK^T and PV,
+    which attention_fwd computes over all seq_len keys before masking.
     """
     cost = layer_pass_cost(plan, dims, len(plan))
     if mode == "layer-pass":

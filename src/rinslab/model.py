@@ -68,6 +68,7 @@ __all__ = [
     "RecursiveModel",
     "sample_rounds",
     "adapter_fraction",
+    "param_count",
     "segments_to_mask",
 ]
 
@@ -190,6 +191,56 @@ def _count_lanes(blas: str) -> int:
 _LANES = _count_lanes(_blas_name())
 
 
+def _param_shapes(
+    plan: ExecutionPlan, dims: ModelDims, adapters: bool
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every array the executor builds for the plan, in
+    init order: embeddings, final norm and head, one stack of
+    layers_per_block layers per distinct leaf block and, with adapters, one
+    d x d map per round count. Raises InfeasiblePlanError through
+    plan_layers_per_block."""
+    lpb = plan_layers_per_block(plan, dims)
+    d, mlp, V, S = dims.d_model, dims.mlp_dim, dims.vocab, dims.seq_len
+    shapes: dict[str, tuple[int, ...]] = {
+        "embed.token": (V, d),
+        "embed.pos": (S, d),
+        "final_norm.gamma": (d,),
+        "final_norm.beta": (d,),
+        "head.w": (d, V),
+        "head.b": (V,),
+    }
+    for leaf in range(plan.unique_leaf_count):
+        for l in range(lpb):
+            pre = f"block.{leaf_label(leaf)}.layer.{l}."
+            shapes[pre + "ln1.gamma"] = (d,)
+            shapes[pre + "ln1.beta"] = (d,)
+            shapes[pre + "attn.q"] = (d, d)
+            shapes[pre + "attn.q_bias"] = (d,)
+            shapes[pre + "attn.k"] = (d, d)
+            shapes[pre + "attn.k_bias"] = (d,)
+            shapes[pre + "attn.v"] = (d, d)
+            shapes[pre + "attn.v_bias"] = (d,)
+            shapes[pre + "attn.out"] = (d, d)
+            shapes[pre + "attn.out_bias"] = (d,)
+            shapes[pre + "ln2.gamma"] = (d,)
+            shapes[pre + "ln2.beta"] = (d,)
+            shapes[pre + "mlp.w_in"] = (d, mlp)
+            shapes[pre + "mlp.b_in"] = (mlp,)
+            shapes[pre + "mlp.w_out"] = (mlp, d)
+            shapes[pre + "mlp.b_out"] = (d,)
+    if adapters:
+        for k in range(1, plan.r_max + 1):
+            shapes[f"adapter.{k}"] = (d, d)
+    return shapes
+
+
+def param_count(plan: ExecutionPlan, dims: ModelDims) -> int:
+    """Summed sizes of the arrays the executor builds without adapters
+    (adapter_fraction reports their share). Recursion buys compute, not
+    parameters: repeating a leaf adds none."""
+    return sum(math.prod(s) for s in _param_shapes(plan, dims, False).values())
+
+
 class RecursiveModel:
     """Pre-norm decoder executing an ExecutionPlan with shared leaf blocks."""
 
@@ -221,43 +272,7 @@ class RecursiveModel:
     # ---------------------------------------------------------------- params
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        d, mlp, V, S = (
-            self.dims.d_model,
-            self.dims.mlp_dim,
-            self.dims.vocab,
-            self.dims.seq_len,
-        )
-        shapes: dict[str, tuple[int, ...]] = {
-            "embed.token": (V, d),
-            "embed.pos": (S, d),
-            "final_norm.gamma": (d,),
-            "final_norm.beta": (d,),
-            "head.w": (d, V),
-            "head.b": (V,),
-        }
-        for label in self._labels:
-            for l in range(self.layers_per_block):
-                pre = f"block.{label}.layer.{l}."
-                shapes[pre + "ln1.gamma"] = (d,)
-                shapes[pre + "ln1.beta"] = (d,)
-                shapes[pre + "attn.q"] = (d, d)
-                shapes[pre + "attn.q_bias"] = (d,)
-                shapes[pre + "attn.k"] = (d, d)
-                shapes[pre + "attn.k_bias"] = (d,)
-                shapes[pre + "attn.v"] = (d, d)
-                shapes[pre + "attn.v_bias"] = (d,)
-                shapes[pre + "attn.out"] = (d, d)
-                shapes[pre + "attn.out_bias"] = (d,)
-                shapes[pre + "ln2.gamma"] = (d,)
-                shapes[pre + "ln2.beta"] = (d,)
-                shapes[pre + "mlp.w_in"] = (d, mlp)
-                shapes[pre + "mlp.b_in"] = (mlp,)
-                shapes[pre + "mlp.w_out"] = (mlp, d)
-                shapes[pre + "mlp.b_out"] = (d,)
-        if self.policy.adapters:
-            for k in range(1, self.policy.r_max + 1):
-                shapes[f"adapter.{k}"] = (d, d)
-        return shapes
+        return _param_shapes(self.plan, self.dims, self.policy.adapters)
 
     def init_params(self, seed=0) -> dict[str, np.ndarray]:
         """Deterministic init: N(0, 0.02) weights with scaled-down residual
@@ -283,12 +298,10 @@ class RecursiveModel:
     # ------------------------------------------------------------- execution
 
     def resolve_rounds(self, rounds: Optional[int]) -> int:
+        """rounds, or the policy's default when None: inference_rounds, else
+        r_max. plan.calls checks the range."""
         if rounds is None:
-            rounds = self.policy.inference_rounds or self.policy.r_max
-        if not (1 <= rounds <= self.policy.r_max):
-            raise ValueError(
-                f"rounds must be in [1, {self.policy.r_max}], got {rounds}"
-            )
+            return self.policy.inference_rounds or self.policy.r_max
         return rounds
 
     def forward(self, params, tokens, rounds=None, segments=None):
@@ -457,8 +470,7 @@ class RecursiveModel:
                     self.layers_per_block - 1
                     if rows is not None and ci == len(seq) - 1 else None
                 )
-                consume = share and (leaf, 0) in first_kv
-                produce = share and not consume
+                produce = share and (leaf, 0) not in first_kv
                 if produce:
                     first_kv = dict(first_kv)  # copy on write: kept states never change
                 adapted = None
@@ -471,7 +483,7 @@ class RecursiveModel:
                     xn1, c_ln1 = layernorm_fwd(
                         h, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"]
                     )
-                    kv_in = first_kv[(leaf, l)] if consume else None
+                    kv_in = first_kv.get((leaf, l))
                     # rows passes only where it trims, so a wrapper over the
                     # positional signature sees every other call unchanged
                     sel = {"rows": rows} if l == trim_at else {}
@@ -495,8 +507,7 @@ class RecursiveModel:
                     del xn1, c_ln1, attn_out, kv, c_attn, xn2, c_ln2, mlp_out, c_mlp
                 if need_tape:
                     tape["calls"].append(
-                        {"leaf": leaf, "consume": consume, "layers": layer_records,
-                         "adapter": adapted}
+                        {"leaf": leaf, "layers": layer_records, "adapter": adapted}
                     )
                 if keep and ci < shared and trim_at is None:
                     states[tuple(seq[:ci + 1])] = (h, first_kv)
@@ -590,7 +601,8 @@ class RecursiveModel:
         _acc(grads, "final_norm.beta", dbet)
 
         # (leaf, layer) -> (dk, dv) summed over the calls that consumed that
-        # leaf's first-call keys and values, awaiting the call that made them
+        # leaf's first-call keys and values, awaiting the call that made them;
+        # (None, None) once that call has folded them in
         pending_kv: dict[tuple[int, int], tuple] = {}
         for call in reversed(tape["calls"]):
             leaf = call["leaf"]
@@ -603,17 +615,9 @@ class RecursiveModel:
                 _acc(grads, prefix + "ln2.beta", dbet)
                 dh = dh + dres
 
-                if call["consume"]:
-                    dxn1, g, dk, dv = attention_bwd(dh, c_attn, params, prefix + "attn.")
-                    if (leaf, l) in pending_kv:
-                        dk_p, dv_p = pending_kv[(leaf, l)]
-                        dk, dv = dk_p + dk, dv_p + dv
-                    pending_kv[(leaf, l)] = (dk, dv)
-                else:
-                    dk_x, dv_x = pending_kv.pop((leaf, l), (None, None))
-                    dxn1, g, _, _ = attention_bwd(
-                        dh, c_attn, params, prefix + "attn.", dk_x, dv_x
-                    )
+                dk, dv = pending_kv.get((leaf, l), (None, None))
+                dxn1, g, dk, dv = attention_bwd(dh, c_attn, params, prefix + "attn.", dk, dv)
+                pending_kv[(leaf, l)] = (dk, dv)
                 _acc_many(grads, g)
                 dres, dgam, dbet = layernorm_bwd(dxn1, c_ln1)
                 _acc(grads, prefix + "ln1.gamma", dgam)

@@ -13,7 +13,8 @@ A checkpoint carries the trace up to its step next to the parameters and
 Adam moments. Resume restores those and derives the rest from them, the
 step and the seed (cumulative compute, the first step's loss, the next
 batch, the round count), so a resumed run reproduces the uninterrupted one
-bit for bit, trace included.
+bit for bit, trace included. A checkpoint written for another signature,
+dims, policy or dtype is refused.
 """
 
 from __future__ import annotations
@@ -99,6 +100,17 @@ class LossTrace:
         return cls(records=records, **header)
 
 
+def _header(signature: str, dims, policy, dtype) -> dict:
+    """What a checkpoint must share with the model that resumes it, flat and
+    in checking order: signature, dims.<field>, policy.<field>, dtype."""
+    return {
+        "signature": signature,
+        **{f"dims.{k}": v for k, v in asdict(dims).items()},
+        **{f"policy.{k}": v for k, v in asdict(policy).items()},
+        "dtype": str(dtype),
+    }
+
+
 def train(
     model: RecursiveModel,
     params: dict[str, np.ndarray],
@@ -116,7 +128,9 @@ def train(
     cadence and at the end; it carries the trace so far, so a run resumed
     from that path continues from the stored step with identical arithmetic
     and returns the whole trace from step 1. A checkpoint without a trace is
-    refused. After an abort the final checkpoint is the state after the last
+    refused, and so is one whose signature, dims, policy or dtype differ
+    from the model's (a ValueError names the first field that differs).
+    After an abort the final checkpoint is the state after the last
     completed step, since the aborted step updated nothing.
     """
     if not batches:
@@ -148,6 +162,14 @@ def train(
             raise ValueError(
                 f"checkpoint {resume_from} holds no trace (written by an older "
                 f"rinslab); rerun with --force to start the run afresh"
+            )
+        have = _header(ckpt.signature, ckpt.dims, ckpt.policy, ckpt.dtype)
+        want = _header(to_tagged(model.plan.source), model.dims, policy, model.dtype)
+        diff = next((k for k in want if have[k] != want[k]), None)
+        if diff is not None:
+            raise ValueError(
+                f"checkpoint {resume_from} was written for {diff} {have[diff]!r}, "
+                f"but the model has {want[diff]!r}"
             )
         params.clear()
         params.update(ckpt.params)

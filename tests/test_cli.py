@@ -143,9 +143,11 @@ class TestParseConfig:
         with pytest.raises(rl.ConfigError, match="matched step count is 0"):
             rl.parse_run_config(make_ini(signature="AAAA", baseline=("A", 3)))
 
-    def test_malformed_eval_entry(self):
+    @pytest.mark.parametrize("line", ["eval = grammar:400", "eval = =grammar:100",
+                                      "eval = held=grammar:400, y="])
+    def test_malformed_eval_entry(self, line):
         with pytest.raises(rl.ConfigError, match="corpus.eval"):
-            rl.parse_run_config(make_ini(eval_line="eval = grammar:400"))
+            rl.parse_run_config(make_ini(eval_line=line))
 
 
 class TestConfigHash:
@@ -580,6 +582,9 @@ class TestCmdSweep:
             (lambda t: t.replace("total_steps = 8\n", ""), "train.total_steps"),
             (lambda t: t.replace("baseline_signature = A", "baseline_signature = 7B"),
              "sweep.baseline_signature"),
+            (lambda t: t.replace("train = grammar:600", "train = grammar:abc"),
+             "grammar:abc"),
+            (lambda t: t + "eval = held=missing.tokens\n", "missing.tokens"),
         ],
     )
     def test_bad_shared_value_fails_before_any_candidate(self, tmp_path, mutate, fragment):
@@ -589,6 +594,26 @@ class TestCmdSweep:
             rl.cmd_sweep(cfg, out_root=str(tmp_path / "runs"))
         assert not (tmp_path / "runs" / "sw").exists()
         assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+
+    def test_path_refs_resolve_against_the_sweep_spec(self, tmp_path, monkeypatch):
+        # candidate specs are written under the out-root, not beside the
+        # sweep spec, so they must name the corpus files resolved
+        spec_dir = tmp_path / "spec"
+        spec_dir.mkdir()
+        docs = rl.generate_corpus(rl.default_grammar(seed=0), 600)
+        rl.save_tokens(spec_dir / "train.tokens", docs)
+        rl.save_tokens(spec_dir / "held.tokens", docs[:20])
+        (spec_dir / "sweep.ini").write_text(make_sweep_ini().replace(
+            "train = grammar:600",
+            "train = train.tokens\neval = held=held.tokens, g=grammar:300"))
+        monkeypatch.chdir(tmp_path)
+        rows = rl.cmd_sweep("spec/sweep.ini", out_root="runs")
+        assert {r["status"] for r in rows if r["feasible"]} == {"done"}
+        cand = rl.parse_run_config(
+            (tmp_path / "runs" / "sw" / "candidate-aab-d1.ini").read_text())
+        assert cand.corpus_train == str(spec_dir / "train.tokens")
+        assert cand.corpus_evals == (("held", str(spec_dir / "held.tokens")),
+                                     ("g", "grammar:300"))
 
     def test_failed_candidate_exits_runtime(self, tmp_path, capsys):
         # at 4 layers the deeper candidates get fewer matched steps than the
@@ -848,6 +873,17 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.ini")]) == 2
 
+    def test_eos_id_in_tokens_is_2(self, tmp_path, capsys):
+        ids = [i % 60 for i in range(300)]
+        ids[7] = 64  # vocab - 1, the EOS id
+        rl.save_tokens(tmp_path / "eos.tokens", [ids])
+        cfg = tmp_path / "eos.ini"
+        cfg.write_text(make_ini().replace("train = grammar:600", "train = eos.tokens"))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "'eos.tokens'" in err and "EOS" in err
+        assert not (tmp_path / "runs" / "demo").exists()
+
     def test_runtime_failure_is_3(self, tmp_path):
         empty = tmp_path / "notarun"
         empty.mkdir()
@@ -892,3 +928,45 @@ class TestMainExitCodes:
         cfg.write_text(make_sweep_ini())
         assert cli.main(["sweep", str(cfg)]) == 0
         assert (tmp_path / "runs" / "sw" / "comparison.csv").exists()
+
+
+class TestCorpusRefs:
+    def test_tokens_corpora_run_to_done(self, tmp_path):
+        docs = rl.generate_corpus(rl.default_grammar(seed=0), 800)
+        rl.save_tokens(tmp_path / "train.tokens", docs)
+        held = rl.generate_corpus(rl.default_grammar(seed=1), 300)
+        rl.save_tokens(tmp_path / "held.tokens", held)
+        cfg = tmp_path / "tok.ini"
+        cfg.write_text(make_ini(eval_line="eval = held=held.tokens").replace(
+            "train = grammar:600", "train = train.tokens"))
+        manifest = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        assert manifest["status"] == "done"
+
+        spec = rl.parse_run_config(cfg.read_text())
+        ckpt = rl.load_checkpoint(tmp_path / "runs" / "demo" / "checkpoint.rlab")
+        model = rl.RecursiveModel(ckpt.dims, rl.expand(spec.signature), ckpt.policy)
+        batches = _batches_for(rl.load_tokens(tmp_path / "held.tokens")[0], spec.dims,
+                               spec.train_cfg.batch_size)
+        direct = rl.held_out_log_perplexity(model, ckpt.params, batches,
+                                            mask_reset=spec.train_cfg.mask_reset)
+        assert manifest["final_eval_losses"]["held"] == direct
+
+    def test_grammar_seed_picks_the_corpus(self, tmp_path, capsys):
+        def first_loss(ref):
+            cfg = tmp_path / "g.ini"
+            cfg.write_text(make_ini(out_dir=ref.replace(":", "-")).replace(
+                "train = grammar:600", f"train = {ref}"))
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+            trace = rl.LossTrace.from_jsonl(
+                tmp_path / "runs" / ref.replace(":", "-") / "trace.jsonl")
+            return trace.records[0].train_loss
+
+        # train refs default to seed 0; the same init sees another first batch
+        default = first_loss("grammar:600")
+        assert first_loss("grammar:600:0") == default
+        assert first_loss("grammar:600:7") != default
+
+        cfg = tmp_path / "x.ini"
+        cfg.write_text(make_ini().replace("train = grammar:600", "train = grammar:600:x"))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err

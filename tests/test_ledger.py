@@ -70,7 +70,7 @@ class TestStepCost:
         plan = rl.expand(rl.parse("AB"))
         c1 = rl.step_cost(plan, dims1, mode="exact-flops")
         c2 = rl.step_cost(plan, dims2, mode="exact-flops")
-        per_tok_layer_1 = 12 * 8 * 8 + 4 * 8 * 5 / 2 + 4 * 8 * 16
+        per_tok_layer_1 = 8 * 8 * 8 + 4 * 8 * 5 + 4 * 8 * 16
         assert c1 == 4 * 5 * per_tok_layer_1
         assert c2 > 2 * c1  # superlinear in width at fixed depth
 

@@ -337,6 +337,30 @@ class TestResume:
         for k in params:
             assert np.array_equal(params[k], params3[k]), k
 
+    @pytest.mark.parametrize("other, field", [
+        (lambda m: rl.RecursiveModel(m.dims, rl.expand(rl.parse("AB")),
+                                     rl.RecursionPolicy()), "signature 'AAB@d1'"),
+        (lambda m: rl.RecursiveModel(dataclasses.replace(m.dims, seq_len=16), m.plan,
+                                     m.policy), "dims.seq_len 32"),
+        (lambda m: rl.RecursiveModel(m.dims, m.plan,
+                                     dataclasses.replace(m.policy, p_skip=0.0)),
+         "policy.p_skip 0.5"),
+        (lambda m: rl.RecursiveModel(m.dims, m.plan, m.policy, dtype=np.float64),
+         "dtype 'float32'"),
+    ])
+    def test_checkpoint_of_another_model_refused(self, tmp_path, other, field):
+        # Without the check, an AB model resumed an AAB checkpoint and traced
+        # rows of both, and a model of another seq_len failed in the executor.
+        model, params, batches, cfg = tiny_setup("AAB", p_skip=0.5, total_steps=3,
+                                                 warmup=1)
+        ckpt = tmp_path / "c.rlab"
+        rl.train(model, params, batches, cfg, checkpoint_path=ckpt)
+        resumer = other(model)
+        with pytest.raises(ValueError) as ei:
+            rl.train(resumer, resumer.init_params(0), batches,
+                     dataclasses.replace(cfg, total_steps=6), resume_from=str(ckpt))
+        assert field in str(ei.value) and str(ckpt) in str(ei.value)
+
     def test_checkpoint_extra_holds_trace_alone(self, tmp_path):
         model, params, batches, cfg = tiny_setup("AAB", p_skip=0.5, total_steps=4, warmup=0)
         ckpt = tmp_path / "c.rlab"
