@@ -268,34 +268,21 @@ def pack_sequences(
     if seq_len < 1 or batch_size < 1:
         raise ValueError("seq_len and batch_size must be >= 1")
     window = seq_len + 1
-    buf: list[int] = []
-    rows: list[np.ndarray] = []
-    emitted = False
-
-    def flush_rows():
-        toks = np.stack([r[:-1] for r in rows])
-        targs = np.stack([r[1:] for r in rows])
-        bounds = toks == eos_id
-        del rows[:]
-        return PackedBatch(toks, targs, bounds)
-
+    eos = np.array([eos_id], dtype=np.int32)
+    parts = [eos[:0]]
     for doc in documents:
-        buf.extend(int(t) for t in doc)
-        buf.append(eos_id)
-        while len(buf) >= window:
-            rows.append(np.asarray(buf[:window], dtype=np.int32))
-            del buf[:window]
-            if len(rows) == batch_size:
-                emitted = True
-                yield flush_rows()
-    if rows:
-        emitted = True
-        yield flush_rows()
-    if not emitted:
+        parts += (np.asarray(doc, dtype=np.int32), eos)
+    stream = np.concatenate(parts)
+    rows = stream[: len(stream) // window * window].reshape(-1, window)
+    if not len(rows):
         warnings.warn(
             f"stream shorter than one window ({window} tokens); nothing packed",
             stacklevel=2,
         )
+    for i in range(0, len(rows), batch_size):
+        chunk = rows[i : i + batch_size]
+        tokens = chunk[:, :-1].copy()
+        yield PackedBatch(tokens, chunk[:, 1:].copy(), tokens == eos_id)
 
 
 def segments_from_boundaries(boundaries: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ accumulation and cross-call KV routing inspectable.
 
 Shape conventions: activations enter and leave as (B, T, d); attention works
 per head on (B, H, T, hd) views. Weight matrices are stored (in_dim, out_dim)
-so the forward is always x @ W + b. Every dense product, forward and
-backward, runs as one GEMM on the (B*T, d) view, and caches hold those 2-D
-arrays (LayerNorm's xhat and inv included).
+so the forward is always x @ W + b. Every product with a weight matrix,
+forward and backward, runs in _dense or _dense_bwd as one GEMM on the
+(B*T, d) view, and caches hold those 2-D arrays (LayerNorm's xhat and inv
+included).
 
 Primitives build their results in buffers they allocate and then update in
 place (GELU, LayerNorm, the softmax on the scores buffer). They never write
@@ -130,10 +131,24 @@ def _heads(x, B, T, n_heads):
     return x.reshape(B, T, n_heads, -1).transpose(0, 2, 1, 3)
 
 
-def _project(x2, p, name):
-    y = x2 @ p[name]
-    y += p[name + "_bias"]
-    return y
+def _dense(x, p, w, b=None):
+    """x @ p[w] + p[b] (no bias when b is None) for a (..., k) x, as one GEMM
+    on its (N, k) view; the result keeps x's leading axes."""
+    W = p[w]
+    y = x.reshape(-1, x.shape[-1]) @ W
+    if b is not None:
+        y += p[b]
+    return y.reshape(x.shape[:-1] + W.shape[1:])
+
+
+def _dense_bwd(dy, x, p, w, b, grads):
+    """Backward of _dense(x, p, w, b): sets grads[w] and, when b is given,
+    grads[b] (the row sum of dy); returns the input gradient in x's shape."""
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    grads[w] = x.reshape(-1, x.shape[-1]).T @ dy2
+    if b is not None:
+        grads[b] = dy2.sum(axis=0)
+    return (dy2 @ p[w].T).reshape(x.shape)
 
 
 def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
@@ -162,10 +177,10 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
             np.broadcast_to(allow, (B, 1, T, T)), rows[:, None, :, None], axis=2
         )
     Tq = xq.shape[1]
-    q = _project(xq.reshape(-1, d), p, prefix + "q")
+    q = _dense(xq.reshape(-1, d), p, prefix + "q", prefix + "q_bias")
     if kv_in is None:
-        k = _project(x2, p, prefix + "k").reshape(B, T, d)
-        v = _project(x2, p, prefix + "v").reshape(B, T, d)
+        k = _dense(xn, p, prefix + "k", prefix + "k_bias")
+        v = _dense(xn, p, prefix + "v", prefix + "v_bias")
     else:
         k, v = kv_in
     qh = _heads(q, B, Tq, n_heads)
@@ -181,7 +196,7 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     probs /= probs.sum(axis=-1, keepdims=True)
     ctx = np.empty_like(q)
     np.matmul(probs, vh, out=_heads(ctx, B, Tq, n_heads))
-    out = _project(ctx, p, prefix + "out")
+    out = _dense(ctx, p, prefix + "out", prefix + "out_bias")
     cache = (x2, qh, kh, vh, probs, ctx, kv_in is not None, scale)
     return out.reshape(B, Tq, -1), (k, v), cache
 
@@ -200,11 +215,8 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     B, n_heads, T, _ = qh.shape
     d = x2.shape[1]
     grads: dict[str, np.ndarray] = {}
-
-    dout2 = dout.reshape(-1, d)
-    grads[prefix + "out"] = ctx.T @ dout2
-    grads[prefix + "out_bias"] = dout2.sum(axis=0)
-    dctx = _heads(dout2 @ p[prefix + "out"].T, B, T, n_heads)
+    dctx = _dense_bwd(dout, ctx, p, prefix + "out", prefix + "out_bias", grads)
+    dctx = _heads(dctx, B, T, n_heads)
 
     dv = np.empty_like(ctx)
     np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=_heads(dv, B, T, n_heads))
@@ -219,9 +231,7 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     dk = np.empty_like(ctx)
     np.matmul(dscores.transpose(0, 1, 3, 2), qh, out=_heads(dk, B, T, n_heads))
 
-    grads[prefix + "q"] = x2.T @ dq
-    grads[prefix + "q_bias"] = dq.sum(axis=0)
-    dxn = dq @ p[prefix + "q"].T
+    dxn = _dense_bwd(dq, x2, p, prefix + "q", prefix + "q_bias", grads)
 
     if dk_extra is not None:
         dk += dk_extra.reshape(-1, d)
@@ -230,35 +240,24 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     if consumed_cache:
         return dxn.reshape(B, T, d), grads, dk.reshape(B, T, d), dv.reshape(B, T, d)
 
-    grads[prefix + "k"] = x2.T @ dk
-    grads[prefix + "k_bias"] = dk.sum(axis=0)
-    grads[prefix + "v"] = x2.T @ dv
-    grads[prefix + "v_bias"] = dv.sum(axis=0)
-    dxn += dk @ p[prefix + "k"].T
-    dxn += dv @ p[prefix + "v"].T
+    dxn += _dense_bwd(dk, x2, p, prefix + "k", prefix + "k_bias", grads)
+    dxn += _dense_bwd(dv, x2, p, prefix + "v", prefix + "v_bias", grads)
     return dxn.reshape(B, T, d), grads, None, None
 
 
 def mlp_fwd(xn, p, prefix):
     x2 = xn.reshape(-1, xn.shape[-1])
-    h1 = x2 @ p[prefix + "w_in"]
-    h1 += p[prefix + "b_in"]
-    a, gcache = gelu_fwd(h1)
-    out = a @ p[prefix + "w_out"]
-    out += p[prefix + "b_out"]
+    a, gcache = gelu_fwd(_dense(x2, p, prefix + "w_in", prefix + "b_in"))
+    out = _dense(a, p, prefix + "w_out", prefix + "b_out")
     return out.reshape(xn.shape[:-1] + (-1,)), (x2, gcache, a)
 
 
 def mlp_bwd(dout, cache, p, prefix):
     x2, gcache, a = cache
     grads: dict[str, np.ndarray] = {}
-    dout2 = dout.reshape(-1, dout.shape[-1])
-    grads[prefix + "w_out"] = a.T @ dout2
-    grads[prefix + "b_out"] = dout2.sum(axis=0)
-    dh1 = gelu_bwd(dout2 @ p[prefix + "w_out"].T, gcache)
-    grads[prefix + "w_in"] = x2.T @ dh1
-    grads[prefix + "b_in"] = dh1.sum(axis=0)
-    dxn = dh1 @ p[prefix + "w_in"].T
+    da = _dense_bwd(dout, a, p, prefix + "w_out", prefix + "b_out", grads)
+    dh1 = gelu_bwd(da, gcache)
+    dxn = _dense_bwd(dh1, x2, p, prefix + "w_in", prefix + "b_in", grads)
     return dxn.reshape(dout.shape[:-1] + (-1,)), grads
 
 

@@ -49,6 +49,8 @@ import numpy as np
 
 from . import layers as _layers
 from .layers import (
+    _dense,
+    _dense_bwd,
     attention_bwd,
     attention_fwd,
     embed_bwd,
@@ -431,10 +433,13 @@ class RecursiveModel:
         state holds only them, so it is never kept as a prefix.
         """
         tokens = np.asarray(tokens)
+        _check_ids(tokens, self.dims.vocab, "tokens")
         batched = tokens[None, :] if tokens.ndim == 1 else tokens
         T = batched.shape[1]
         if rows is not None:
             rows = np.reshape(rows, (len(batched), -1))
+        if positions is not None and np.min(positions) < 0:
+            raise ValueError(f"positions must be >= 0, got {np.min(positions)}")
         span = T if positions is None else int(np.max(positions)) + 1
         if span > self.dims.seq_len:
             raise ValueError(
@@ -476,7 +481,7 @@ class RecursiveModel:
                 adapted = None
                 if ci == shared:
                     adapted = (adapter, h)
-                    h = _matmul2d(h, params[adapter])
+                    h = _dense(h, params, adapter)
                 layer_records = []
                 for l in range(self.layers_per_block):
                     prefix = f"block.{label}.layer.{l}."
@@ -525,8 +530,7 @@ class RecursiveModel:
         xnf, c_final = layernorm_fwd(
             h, params["final_norm.gamma"], params["final_norm.beta"]
         )
-        logits = _matmul2d(xnf, params["head.w"])
-        logits += params["head.b"]
+        logits = _dense(xnf, params, "head.w", "head.b")
         if tape is not None:
             tape["final"] = (c_final, xnf)
         return logits
@@ -579,6 +583,7 @@ class RecursiveModel:
         micro-batch; 1-D arrays are a batch of one sequence."""
         T = np.shape(tokens)[-1]
         tokens, targets = np.reshape(tokens, (-1, T)), np.reshape(targets, (-1, T))
+        _check_ids(targets, self.dims.vocab, "targets")
         if segments is not None:
             segments = np.reshape(segments, (-1, T))
         return [
@@ -589,13 +594,10 @@ class RecursiveModel:
         ]
 
     def _backward(self, params, tape, dlogits, grads):
-        """Accumulate the tape's gradients into grads (name -> array)."""
+        """Accumulate the tape's gradients into grads (name -> array), which
+        starts empty: the head and the adapter, used once per tape, are set."""
         c_final, xnf = tape["final"]
-        d2 = dlogits.reshape(-1, dlogits.shape[-1])
-        x2 = xnf.reshape(-1, xnf.shape[-1])
-        _acc(grads, "head.w", x2.T @ d2)
-        _acc(grads, "head.b", d2.sum(axis=0))
-        dxnf = _matmul2d(dlogits, params["head.w"].T)
+        dxnf = _dense_bwd(dlogits, xnf, params, "head.w", "head.b", grads)
         dh, dgam, dbet = layernorm_bwd(dxnf, c_final)
         _acc(grads, "final_norm.gamma", dgam)
         _acc(grads, "final_norm.beta", dbet)
@@ -625,10 +627,7 @@ class RecursiveModel:
                 dh = dh + dres
             if call["adapter"] is not None:
                 a_name, a_in = call["adapter"]
-                a2 = a_in.reshape(-1, a_in.shape[-1])
-                dh2 = dh.reshape(-1, dh.shape[-1])
-                _acc(grads, a_name, a2.T @ dh2)
-                dh = _matmul2d(dh, params[a_name].T)
+                dh = _dense_bwd(dh, a_in, params, a_name, None, grads)
 
         dtok, dpos_rows, T = embed_bwd(dh, tape["emb"])
         _acc(grads, "embed.token", dtok)
@@ -680,13 +679,17 @@ def _is_rins(seq) -> bool:
     return len(seq) > 1 and set(seq[:-1]) == {seq[0]} and seq[-1] != seq[0]
 
 
+def _check_ids(ids: np.ndarray, vocab: int, name: str):
+    """Refuse ids outside [0, vocab): numpy would read a negative id from the
+    end of a table."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise ValueError(
+            f"{name} must be in [0, {vocab}), got ids from {ids.min()} to {ids.max()}"
+        )
+
+
 def _mask(segments):
     return None if segments is None else segments_to_mask(segments)
-
-
-def _matmul2d(x, w):
-    """x @ w for a (..., k) x, run as one GEMM on the (N, k) view."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
 
 
 def _acc(grads: dict, name: str, g: np.ndarray):

@@ -171,8 +171,6 @@ def fit_power_law(
     k = int(np.argmin([s[0] for s in evaluated]))
     gap_star = candidates[k]
     sse, slope, intercept = evaluated[k]
-    if not np.isfinite(sse):
-        raise FitError("fit failed: no candidate produced a positive exponent")
 
     return FitResult(
         beta=float(math.exp(intercept)),

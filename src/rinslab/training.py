@@ -129,7 +129,8 @@ def train(
     from that path continues from the stored step with identical arithmetic
     and returns the whole trace from step 1. A checkpoint without a trace is
     refused, and so is one whose signature, dims, policy or dtype differ
-    from the model's (a ValueError names the first field that differs).
+    from the model's (a ValueError names the first field that differs), or
+    one past cfg.total_steps.
     After an abort the final checkpoint is the state after the last
     completed step, since the aborted step updated nothing.
     """
@@ -170,6 +171,11 @@ def train(
             raise ValueError(
                 f"checkpoint {resume_from} was written for {diff} {have[diff]!r}, "
                 f"but the model has {want[diff]!r}"
+            )
+        if ckpt.step > cfg.total_steps:
+            raise ValueError(
+                f"checkpoint {resume_from} is at step {ckpt.step}, past "
+                f"total_steps {cfg.total_steps}"
             )
         params.clear()
         params.update(ckpt.params)

@@ -864,6 +864,46 @@ class TestMainExitCodes:
         assert "'side.tokens'" in capsys.readouterr().err
         assert not (tmp_path / "runs" / "demo").exists()
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("peak_lr = 3e-3", "peak_lr = 0", "train.peak_lr"),
+        ("batch_size = 4", "batch_size = 4\nweight_decay = -1", "train.weight_decay"),
+        ("batch_size = 4", "batch_size = 4\ncooldown_steps = -1", "cooldown_steps"),
+        ("batch_size = 4", "batch_size = 0", "train.batch_size"),
+        ("batch_size = 4", "batch_size = 4\ngrad_clip_norm = -1",
+         "train.grad_clip_norm"),
+        ("eval_interval = 3", "eval_interval = 0", "train.eval_interval"),
+        ("total_steps = 6", "total_steps = 0", "train.total_steps"),
+        ("d_model = 16", "d_model = 0", "model.d_model"),
+        ("d_model = 16\nn_heads = 2", "d_model = 8\nn_heads = 3", "n_heads 3"),
+        ("[train]", "[policy]\np_skip = 1.0\n\n[train]", "policy.p_skip"),
+        ("[corpus]", "[baseline]\nsignature = A\nsteps = 0\n\n[corpus]",
+         "baseline.steps"),
+        ("train = grammar:600", "train = grammar:1:2:3", "'grammar:1:2:3'"),
+        ("vocab = 65", "vocab = 60", "model.vocab"),
+        ("train = grammar:600", "train = short.tokens", "corpus.train"),
+        ("train = grammar:600", "train = grammar:600\neval = held=short.tokens",
+         "corpus.eval"),
+        ("[model]", "[model]\nnot a key value line", "config parse failure"),
+        ("[model]\nd_model = 16\nn_heads = 2\nmlp_dim = 32\nvocab = 65\n"
+         "seq_len = 16\ntotal_layers = 2\n", "", "[model]"),
+    ])
+    def test_refused_value_is_2(self, tmp_path, capsys, old, new, named):
+        rl.save_tokens(tmp_path / "short.tokens", [[1, 2, 3]])  # under one window
+        text = make_ini()
+        assert old in text
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text.replace(old, new, 1))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_false_boolean_runs_to_done(self, tmp_path):
+        cfg = tmp_path / "off.ini"
+        cfg.write_text(make_ini(policy_lines="[policy]\nkv_share = false\n"))
+        assert rl.parse_run_config(cfg.read_text()).policy.kv_share is False
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 0
+        manifest = json.loads((tmp_path / "runs" / "demo" / "manifest.json").read_text())
+        assert manifest["status"] == "done"
+
     def test_corpus_error_leaves_no_run_dir(self, tmp_path):
         cfg = tmp_path / "missing.ini"
         cfg.write_text(make_ini().replace("train = grammar:600", "train = missing.tokens"))

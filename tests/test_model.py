@@ -379,6 +379,33 @@ class TestForwardDepths:
             m.forward_depths(p, t, [1])
 
 
+class TestIdRanges:
+    """The executor refuses ids its tables do not hold, where they enter."""
+
+    @pytest.mark.parametrize("bad", [-9, -1, 11, 14])  # tiny_dims.vocab is 11
+    def test_token_and_target_ids_outside_vocab(self, tiny_dims, bad):
+        m = make_model(tiny_dims, "AB")
+        p = m.init_params(0)
+        good, wrong = [[1, 2, 3, 10]], [[1, 2, 3, bad]]
+        for call in (lambda: m.forward(p, wrong),
+                     lambda: m.forward_depths(p, wrong[0], [1]),
+                     lambda: m.loss(p, wrong, good),
+                     lambda: m.loss_and_grads(p, wrong, good)):
+            with pytest.raises(ValueError, match="tokens"):
+                call()
+        for call in (lambda: m.loss(p, good, wrong),
+                     lambda: m.loss_and_grads(p, good, wrong)):
+            with pytest.raises(ValueError, match="targets"):
+                call()
+        m.loss_and_grads(p, good, [[0, 0, 10, 10]])  # both ends of the range
+
+    def test_negative_position(self, tiny_dims):
+        m = make_model(tiny_dims, "AB")
+        p = m.init_params(0)
+        with pytest.raises(ValueError, match="positions"):
+            m.forward_depths(p, [1, 2, 3, 4], [1], positions=[0, 1, 2, -1])
+
+
 def _prefix_plan():
     # Depth 1 runs leaves (0, 1), a prefix of depth 2's (0, 1, 1).
     return rl.ExecutionPlan((0, 1, 1), 2, (False, True, False), rl.parse("AB"))
@@ -498,6 +525,89 @@ class TestModelGradients:
         assert set(grads) == set(p)
         # adapters for other round counts exist but got no use this pass
         assert np.abs(grads["adapter.3"]).max() == 0.0
+
+
+class TestWeightProducts:
+    """Every product with a weight matrix runs in layers._dense (forward) and
+    layers._dense_bwd (backward), so counting those two counts them all."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import rinslab.layers as layers_mod
+        import rinslab.model as model_mod
+
+        flops, bwd = [], []
+        dense, dense_bwd = layers_mod._dense, layers_mod._dense_bwd
+
+        def counted_dense(x, p, w, b=None):
+            flops.append(2 * (x.size // x.shape[-1]) * p[w].size)  # 2 m k n
+            return dense(x, p, w, b)
+
+        def counted_bwd(dy, x, p, w, b, grads):
+            bwd.append(w)
+            return dense_bwd(dy, x, p, w, b, grads)
+
+        for mod in (layers_mod, model_mod):
+            monkeypatch.setattr(mod, "_dense", counted_dense)
+            monkeypatch.setattr(mod, "_dense_bwd", counted_bwd)
+        return flops, bwd
+
+    @pytest.mark.parametrize("text", ["AB", "AAB", "AAAB"])
+    @pytest.mark.parametrize("kv_share", [False, True])
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_products_per_step(self, tiny_dims, toks, counted, text, kv_share,
+                               adapters):
+        t, u = toks
+        r_max = len(text) - 1
+        pol = rl.RecursionPolicy(r_max=r_max, kv_share=kv_share, adapters=adapters)
+        m = make_model(tiny_dims, text, policy=pol)
+        p = m.init_params(0)
+        assert len(m._micro_batches(t)) == 1
+        flops, bwd = counted
+        for rounds in range(1, r_max + 1):
+            flops.clear()
+            bwd.clear()
+            m.loss_and_grads(p, t, u, rounds=rounds)
+            # 6 products per layer call (q, k, v, out, w_in, w_out), 4 when
+            # it reads a shared K/V pair; one for the head, one for the adapter
+            want, seen = 1 + adapters, set()
+            for leaf in m.plan.calls(rounds):
+                want += m.layers_per_block * (4 if kv_share and leaf in seen else 6)
+                seen.add(leaf)
+            assert (len(flops), len(bwd)) == (want, want)
+            assert set(bwd) <= {k for k, v in p.items() if v.ndim == 2}
+            assert "head.w" in bwd and (f"adapter.{rounds}" in bwd) == adapters
+
+    @pytest.mark.parametrize("text,kv_share,adapters,rounds,want", [
+        ("AB", False, False, 1, 25),
+        ("AAB", True, False, 2, 33),
+        ("AAAB", True, True, 3, 42),
+        ("AAAB", False, False, 3, 49),
+    ])
+    def test_pinned_counts(self, tiny_dims, toks, counted, text, kv_share,
+                           adapters, rounds, want):
+        t, u = toks
+        pol = rl.RecursionPolicy(r_max=len(text) - 1, kv_share=kv_share,
+                                 adapters=adapters)
+        m = make_model(tiny_dims, text, policy=pol)
+        m.loss_and_grads(m.init_params(0), t, u, rounds=rounds)
+        assert (len(counted[0]), len(counted[1])) == (want, want)
+
+    @pytest.mark.parametrize("text", ["AB", "AAB", "AAAB"])
+    def test_forward_flops_match_the_ledger(self, tiny_dims, toks, counted, text):
+        # exact-flops per token, less the 4 T d score term, plus the head's
+        # 2 d vocab: the weight products the executor runs
+        t, u = toks
+        m = make_model(tiny_dims, text)
+        p = m.init_params(0)
+        flops, _ = counted
+        m.loss_and_grads(p, t, u)
+        d, T, V = tiny_dims.d_model, tiny_dims.seq_len, tiny_dims.vocab
+        passes = len(m.plan) * m.layers_per_block
+        weight = rl.step_cost(m.plan, tiny_dims, "exact-flops") / T - passes * 4 * T * d
+        assert sum(flops) / t.size == weight + 2 * d * V
+        if text == "AB":
+            assert sum(flops) / t.size == 4272
 
 
 class TestMicroBatches:

@@ -361,6 +361,24 @@ class TestResume:
                      dataclasses.replace(cfg, total_steps=6), resume_from=str(ckpt))
         assert field in str(ei.value) and str(ckpt) in str(ei.value)
 
+    def test_checkpoint_past_total_steps_refused(self, tmp_path):
+        # Without the check, a 6-step checkpoint resumed under total_steps 3
+        # returned 6 trace rows under meta total_steps 3 and rewrote the
+        # checkpoint at step 6.
+        model, params, batches, cfg = tiny_setup(total_steps=6, warmup=1,
+                                                 eval_interval=3)
+        ckpt = tmp_path / "c.rlab"
+        rl.train(model, params, batches, cfg, checkpoint_path=ckpt)
+        before = ckpt.read_bytes()
+        params2, fresh = model.init_params(0), model.init_params(0)
+        with pytest.raises(ValueError) as ei:
+            rl.train(model, params2, batches, dataclasses.replace(cfg, total_steps=3),
+                     resume_from=str(ckpt), checkpoint_path=ckpt)
+        assert "step 6" in str(ei.value) and "total_steps 3" in str(ei.value)
+        assert ckpt.read_bytes() == before
+        for k in fresh:
+            assert np.array_equal(params2[k], fresh[k]), k
+
     def test_checkpoint_extra_holds_trace_alone(self, tmp_path):
         model, params, batches, cfg = tiny_setup("AAB", p_skip=0.5, total_steps=4, warmup=0)
         ckpt = tmp_path / "c.rlab"
