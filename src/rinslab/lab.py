@@ -33,7 +33,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -96,94 +95,112 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- INI parsing
 
-# Sections that are a dataclass, and the fields the INI never sets: r_max
-# comes from the signature, seed from [run], Adam's betas and eps are fixed.
-# Every other field is a key of its section and takes the field's default.
-_DATACLASS_SECTIONS = {
-    "model": (ModelDims, ()),
-    "policy": (RecursionPolicy, ("r_max",)),
-    "train": (TrainConfig, ("seed", "beta1", "beta2", "adam_eps")),
+
+def _at_least(low: int):
+    return lambda v: None if v >= low else f"must be >= {low}, got {v}"
+
+
+def _nonempty(v: str):
+    return None if v else "must not be empty"
+
+
+# The sections that are a dataclass: its fields are the section's keys and
+# hold their defaults and checks. The INI never sets r_max (it comes from
+# the signature), seed (from [run]) or Adam's betas and eps (fixed).
+_DATACLASS_SECTIONS = {"model": ModelDims, "policy": RecursionPolicy, "train": TrainConfig}
+_FIXED_FIELDS = {"policy.r_max", "train.seed", "train.beta1", "train.beta2", "train.adam_eps"}
+
+# Every key of a run spec: "section.key" -> (type, required, check), where
+# check(value) returns a refusal or None. A section is required when it has
+# a required key, except [baseline], which is optional as a whole.
+_RUN_KEYS = {
+    "run.name": ("str", True, _nonempty),
+    "run.out_dir": ("str", False, _nonempty),
+    "run.seed": ("int", False, _at_least(0)),
+    "signature.value": ("str", True, None),
+    **{
+        f"{section}.{f.name}":
+            (f.type.removeprefix("Optional[").removesuffix("]"), f.default is MISSING, None)
+        for section, cls in _DATACLASS_SECTIONS.items() for f in fields(cls)
+        if f"{section}.{f.name}" not in _FIXED_FIELDS
+    },
+    "model.dtype": ("str", False, lambda v: None if v in ("float32", "float64")
+                    else f"expected float32 or float64, got {v!r}"),
+    "train.total_steps": ("int", True, None),
+    "corpus.train": ("str", True, None),
+    "corpus.eval": ("str", False, None),
+    "baseline.signature": ("str", True, None),
+    "baseline.steps": ("int", True, _at_least(1)),
+}
+# A sweep spec shares [model], [train], [corpus] and run.seed with the run
+# spec it writes for each candidate.
+_SWEEP_KEYS = {
+    "sweep.name": ("str", False, _nonempty),
+    "sweep.baseline_signature": ("str", True, None),
+    "sweep.baseline_steps": _RUN_KEYS["baseline.steps"],
+    **{name: k for name, k in _RUN_KEYS.items()
+       if name == "run.seed" or name.partition(".")[0] in ("model", "train", "corpus")},
 }
 
 
-def _ini_fields(section: str):
-    cls, fixed = _DATACLASS_SECTIONS[section]
-    return [f for f in fields(cls) if f.name not in fixed]
-
-
-_KNOWN_KEYS = {
-    "run": {"name", "out_dir", "seed"},
-    "signature": {"value"},
-    **{s: {f.name for f in _ini_fields(s)} for s in _DATACLASS_SECTIONS},
-    "corpus": {"train", "eval"},
-    "baseline": {"signature", "steps"},
-}
-_KNOWN_KEYS["model"].add("dtype")
-# "section" must be present; "section.key" must be present when its section is
-_REQUIRED = {
-    "run", "run.name", "signature", "signature.value", "model", "train",
-    "train.total_steps", "corpus", "corpus.train", "baseline.signature",
-    "baseline.steps",
-} | {f"model.{f.name}" for f in _ini_fields("model") if f.default is MISSING}
-
-
-def _parse_ini(text: str, known: dict, required: set) -> dict[str, dict[str, str]]:
+def _parse_ini(text: str, keys: dict) -> dict[str, dict[str, str]]:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config parse failure: {e}") from e
     raw = {s: dict(cp.items(s)) for s in cp.sections()}
-    for section, keys in raw.items():
-        if section not in known:
+    sections = {name.partition(".")[0] for name in keys}
+    for section, values in raw.items():
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-        extra = set(keys) - known[section]
-        if extra:
-            raise ConfigError(f"unknown key {section}.{sorted(extra)[0]}")
-    for name in sorted(required):
+        for key in values:
+            if f"{section}.{key}" not in keys:
+                raise ConfigError(f"unknown key {section}.{key}")
+    for name, (_, required, _) in keys.items():
         section, _, key = name.partition(".")
-        if not key and section not in raw:
+        if required and section not in raw and section != "baseline":
             raise ConfigError(f"missing required section [{section}]")
-        if key and section in raw and key not in raw[section]:
+        if required and section in raw and key not in raw[section]:
             raise ConfigError(f"missing required key {name}")
     return raw
 
 
-def _as_bool(text: str) -> bool:
-    v = text.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(text)
+_CONVERTERS = {"str": str, "int": int, "float": float,
+               "bool": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()]}
 
 
-_CONVERTERS = {"int": int, "float": float, "bool": _as_bool}
-
-
-def _convert(text: str, type_name: str, where: str):
-    """Convert by a field's annotation ("int", "float", "bool", "Optional[int]")."""
-    type_name = type_name.removeprefix("Optional[").removesuffix("]")
+def _value(raw: dict, keys: dict, name: str, default=None):
+    """The value of "section.key" converted and checked, or default when the
+    spec leaves it out; a refusal names the key."""
+    section, _, key = name.partition(".")
+    text = raw.get(section, {}).get(key)
+    if text is None:
+        return default
+    type_name, _, check = keys[name]
     try:
-        return _CONVERTERS[type_name](text)
-    except ValueError:
-        raise ConfigError(f"{where}: expected {type_name}, got {text!r}") from None
+        value = _CONVERTERS[type_name](text)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{name}: expected {type_name}, got {text!r}") from None
+    refusal = check and check(value)
+    if refusal:
+        raise ConfigError(f"{name}: {refusal}")
+    return value
 
 
 def _section(raw: dict, section: str, **given):
-    """Build a section's dataclass from its keys; `given` sets derived fields."""
-    values = raw.get(section, {})
+    """Build a section's dataclass from its keys; `given` sets derived fields.
+    Each dataclass check opens its message with the field it refuses."""
+    cls = _DATACLASS_SECTIONS[section]
     kwargs = {
-        f.name: _convert(values[f.name], f.type, f"{section}.{f.name}")
-        for f in _ini_fields(section)
-        if f.name in values
+        f.name: _value(raw, _RUN_KEYS, f"{section}.{f.name}")
+        for f in fields(cls)
+        if f.name in raw.get(section, {})
     }
-    kwargs.update(given)
     try:
-        return _DATACLASS_SECTIONS[section][0](**kwargs)
-    except (ValueError, TypeError) as e:
-        key = next((k for k in kwargs if re.search(rf"\b{k}\b", str(e))), None)
-        raise ConfigError(f"{section}.{key}: {e}" if key else f"{section}: {e}") from e
+        return cls(**{**kwargs, **given})
+    except ValueError as e:
+        raise ConfigError(f"{section}.{str(e).split()[0]}: {e}") from e
 
 
 def _signature(text: str, where: str, dims: ModelDims) -> Signature:
@@ -235,26 +252,21 @@ def config_hash(spec: RunSpec) -> str:
 
 
 def parse_run_config(text: str) -> RunSpec:
-    raw = _parse_ini(text, _KNOWN_KEYS, _REQUIRED)
-    run = raw["run"]
-    seed = _convert(run.get("seed", "0"), "int", "run.seed")
+    raw = _parse_ini(text, _RUN_KEYS)
+    name = _value(raw, _RUN_KEYS, "run.name")
+    seed = _value(raw, _RUN_KEYS, "run.seed", 0)
 
     dims = _section(raw, "model")
-    dtype = raw["model"].get("dtype", "float32")
-    if dtype not in ("float32", "float64"):
-        raise ConfigError(f"model.dtype: expected float32 or float64, got {dtype!r}")
+    dtype = _value(raw, _RUN_KEYS, "model.dtype", "float32")
     signature = _signature(raw["signature"]["value"], "signature.value", dims)
     policy = _section(raw, "policy", r_max=rins_rounds(signature) or 1)
 
-    declared_total = _convert(raw["train"]["total_steps"], "int", "train.total_steps")
+    declared_total = _value(raw, _RUN_KEYS, "train.total_steps")
     total_steps = declared_total
     baseline = None
     if "baseline" in raw:
-        b = raw["baseline"]
-        bsig = _signature(b["signature"], "baseline.signature", dims)
-        bsteps = _convert(b["steps"], "int", "baseline.steps")
-        if bsteps < 1:
-            raise ConfigError(f"baseline.steps: must be >= 1, got {bsteps}")
+        bsig = _signature(raw["baseline"]["signature"], "baseline.signature", dims)
+        bsteps = _value(raw, _RUN_KEYS, "baseline.steps")
         baseline = (bsig, bsteps)
         total_steps = matched_steps(expand(bsig), expand(signature), dims, dims, bsteps)
         if total_steps < 1:
@@ -281,8 +293,8 @@ def parse_run_config(text: str) -> RunSpec:
             evals.append((ename, ref))
 
     return RunSpec(
-        name=run["name"],
-        out_dir=run.get("out_dir", run["name"]),
+        name=name,
+        out_dir=_value(raw, _RUN_KEYS, "run.out_dir", name),
         seed=seed,
         signature=signature,
         dims=dims,
@@ -299,24 +311,26 @@ def parse_run_config(text: str) -> RunSpec:
 # ------------------------------------------------------------------- corpora
 
 
-def _resolve_corpus(ref: str, dims: ModelDims, default_seed: int, base_dir: Path):
-    """ref -> list of documents. "grammar:N[:seed]" or a .tokens path."""
+def _resolve_corpus(ref: str, dims: ModelDims, default_seed: int, base_dir: Path,
+                    *, key: str = "corpus.train"):
+    """ref, held by `key` -> list of documents. "grammar:N[:seed]" or a .tokens path."""
+    where = f"{key}: corpus ref {ref!r}"
     if ref.startswith("grammar:"):
         parts = ref.split(":")
         if len(parts) not in (2, 3):
-            raise ConfigError(f"corpus ref {ref!r}: expected grammar:N[:seed]")
+            raise ConfigError(f"{where}: expected grammar:N[:seed]")
         try:
             n_tokens = int(parts[1])
         except ValueError:
-            raise ConfigError(f"corpus ref {ref!r}: token count must be an integer")
+            raise ConfigError(f"{where}: token count must be an integer")
         if n_tokens < 1:
-            raise ConfigError(f"corpus ref {ref!r}: token count must be >= 1")
+            raise ConfigError(f"{where}: token count must be >= 1")
         seed = default_seed
         if len(parts) == 3:
             try:
                 seed = int(parts[2])
             except ValueError:
-                raise ConfigError(f"corpus ref {ref!r}: seed must be an integer")
+                raise ConfigError(f"{where}: seed must be an integer")
         eos = dims.vocab - 1
         if eos < 64:
             raise ConfigError(
@@ -328,18 +342,18 @@ def _resolve_corpus(ref: str, dims: ModelDims, default_seed: int, base_dir: Path
     if not path.is_absolute():
         path = base_dir / path
     if not path.exists():
-        raise ConfigError(f"corpus ref {ref!r}: file not found at {path}")
+        raise ConfigError(f"{where}: file not found at {path}")
     try:
         docs, _ = corpus_mod.load_tokens(path)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"corpus ref {ref!r}: {type(e).__name__}: {e}") from e
+        raise ConfigError(f"{where}: {type(e).__name__}: {e}") from e
     min_id = min((min(d) for d in docs if d), default=0)
     if min_id < 0:
-        raise ConfigError(f"corpus ref {ref!r}: negative token id {min_id}")
+        raise ConfigError(f"{where}: negative token id {min_id}")
     max_id = max((max(d) for d in docs if d), default=0)
     if max_id >= dims.vocab - 1:
         raise ConfigError(
-            f"corpus ref {ref!r}: token id {max_id} collides with EOS/vocab "
+            f"{where}: token id {max_id} collides with EOS/vocab "
             f"{dims.vocab} (EOS is vocab-1)"
         )
     return docs
@@ -364,10 +378,11 @@ def _load_corpora(spec: RunSpec, base_dir: Path):
         )
     eval_batches = {}
     for ename, ref in spec.corpus_evals:
-        docs = _resolve_corpus(ref, spec.dims, 1, base_dir)
+        key = f"corpus.eval.{ename}"
+        docs = _resolve_corpus(ref, spec.dims, 1, base_dir, key=key)
         got = _batches_for(docs, spec.dims, spec.train_cfg.batch_size)
         if not got:
-            raise ConfigError(f"corpus.eval: {ref!r} yields no batches")
+            raise ConfigError(f"{key}: {ref!r} yields no batches")
         eval_batches[ename] = got
     return train_batches, eval_batches
 
@@ -508,16 +523,6 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
 
 # --------------------------------------------------------------------- sweep
 
-_SWEEP_KEYS = {
-    "sweep": {"name", "baseline_signature", "baseline_steps"},
-    "run": {"seed"},
-    **{s: _KNOWN_KEYS[s] for s in ("model", "train", "corpus")},
-}
-_SWEEP_REQUIRED = {
-    "sweep", "sweep.baseline_signature", "sweep.baseline_steps",
-    "model", "train", "corpus",
-}
-
 
 def _sweep_candidate_config(raw: dict, sig: Signature, sweep_name: str) -> str:
     lines = ["[run]"]
@@ -556,11 +561,13 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
     config_path = Path(config_path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
-    raw = _parse_ini(config_path.read_text(encoding="utf-8"), _SWEEP_KEYS, _SWEEP_REQUIRED)
-    sweep_name = raw["sweep"].get("name", "sweep")
+    raw = _parse_ini(config_path.read_text(encoding="utf-8"), _SWEEP_KEYS)
+    sweep_name = _value(raw, _SWEEP_KEYS, "sweep.name", "sweep")
+    _value(raw, _SWEEP_KEYS, "sweep.baseline_steps")  # the candidates say baseline.steps
     dims = _section(raw, "model")
     bsig = _signature(raw["sweep"]["baseline_signature"], "sweep.baseline_signature", dims)
-    # the shared sections and corpora fail here, once, not in every candidate
+    # the shared sections and corpora fail here, once, not in every candidate,
+    # under the keys the sweep spec gives them
     spec = parse_run_config(_sweep_candidate_config(raw, bsig, sweep_name))
     base_dir = config_path.parent
     _load_corpora(spec, base_dir)

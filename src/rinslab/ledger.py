@@ -57,9 +57,7 @@ class ModelDims:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
+            raise ValueError(f"n_heads {self.n_heads} does not divide d_model {self.d_model}")
 
 
 def _layers_per_block(plan: ExecutionPlan | Signature, total_layers: int) -> int:

@@ -62,11 +62,17 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.warmup_steps < 0 or self.cooldown_steps < 0:
-            raise ValueError("warmup_steps and cooldown_steps must be >= 0")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        if self.cooldown_steps < 0:
+            raise ValueError(f"cooldown_steps must be >= 0, got {self.cooldown_steps}")
         if self.warmup_steps + self.cooldown_steps > self.total_steps:
+            # the message opens with the piece to shorten: the cooldown, if any
+            first, second = "cooldown_steps", "warmup_steps"
+            if not self.cooldown_steps:
+                first, second = second, first
             raise ValueError(
-                f"warmup {self.warmup_steps} + cooldown {self.cooldown_steps} "
+                f"{first} {getattr(self, first)} + {second} {getattr(self, second)} "
                 f"exceeds total_steps {self.total_steps}"
             )
         if self.batch_size < 1:

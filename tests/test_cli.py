@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rinslab as rl
+import rinslab.lab
 from rinslab import cli
 from rinslab.lab import _batches_for, _resolve_corpus
 
@@ -103,6 +104,15 @@ class TestParseConfig:
         assert spec.declared_total_steps == 999
         assert spec.baseline[1] == 8
 
+    def test_schedule_over_baseline_total_names_the_schedule(self):
+        # total_steps = 999 is overridden by the 4 matched steps, so the
+        # refusal names the key the user can change, not total_steps
+        text = make_ini(signature="AA", baseline=("A", 8), total_steps=999)
+        with pytest.raises(rl.ConfigError, match=r"^train\.cooldown_steps: .* 4$"):
+            rl.parse_run_config(text.replace("warmup_steps = 1", "cooldown_steps = 5"))
+        with pytest.raises(rl.ConfigError, match=r"^train\.warmup_steps: "):
+            rl.parse_run_config(text.replace("warmup_steps = 1", "warmup_steps = 5"))
+
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
@@ -192,8 +202,16 @@ class TestConfigHash:
         assert rl.config_hash(rl.parse_run_config(text)) == expected
 
 
+def _by_section(keys):
+    sections = {}
+    for name in keys:
+        section, _, key = name.partition(".")
+        sections.setdefault(section, set()).add(key)
+    return sections
+
+
 def test_accepted_keys_pinned():
-    from rinslab.lab import _KNOWN_KEYS, _SWEEP_KEYS
+    from rinslab.lab import _RUN_KEYS, _SWEEP_KEYS
 
     model = {"d_model", "n_heads", "mlp_dim", "vocab", "seq_len", "total_layers", "dtype"}
     train = {
@@ -201,7 +219,7 @@ def test_accepted_keys_pinned():
         "batch_size", "grad_clip_norm", "eval_interval", "mask_reset",
     }
     corpus = {"train", "eval"}
-    assert _KNOWN_KEYS == {
+    assert _by_section(_RUN_KEYS) == {
         "run": {"name", "out_dir", "seed"},
         "signature": {"value"},
         "model": model,
@@ -210,12 +228,21 @@ def test_accepted_keys_pinned():
         "corpus": corpus,
         "baseline": {"signature", "steps"},
     }
-    assert _SWEEP_KEYS == {
+    assert _by_section(_SWEEP_KEYS) == {
         "sweep": {"name", "baseline_signature", "baseline_steps"},
         "model": model,
         "train": train,
         "corpus": corpus,
         "run": {"seed"},
+    }
+    dims_keys = {f"model.{k}" for k in model - {"dtype"}}
+    assert {name for name, (_, required, _) in _RUN_KEYS.items() if required} == {
+        "run.name", "signature.value", "train.total_steps", "corpus.train",
+        "baseline.signature", "baseline.steps", *dims_keys,
+    }
+    assert {name for name, (_, required, _) in _SWEEP_KEYS.items() if required} == {
+        "sweep.baseline_signature", "sweep.baseline_steps", "train.total_steps",
+        "corpus.train", *dims_keys,
     }
 
 
@@ -585,6 +612,11 @@ class TestCmdSweep:
             (lambda t: t.replace("train = grammar:600", "train = grammar:abc"),
              "grammar:abc"),
             (lambda t: t + "eval = held=missing.tokens\n", "missing.tokens"),
+            (lambda t: t.replace("baseline_steps = 8", "baseline_steps = x"),
+             "^sweep.baseline_steps: expected int"),
+            (lambda t: t.replace("baseline_steps = 8", "baseline_steps = 0"),
+             "^sweep.baseline_steps: must be >= 1"),
+            (lambda t: t + "\n[run]\nseed = -1\n", "^run.seed: must be >= 0, got -1"),
         ],
     )
     def test_bad_shared_value_fails_before_any_candidate(self, tmp_path, mutate, fragment):
@@ -594,6 +626,22 @@ class TestCmdSweep:
             rl.cmd_sweep(cfg, out_root=str(tmp_path / "runs"))
         assert not (tmp_path / "runs" / "sw").exists()
         assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+
+    def test_empty_sweep_name_is_2(self, tmp_path, capsys, monkeypatch):
+        # an empty name would make each candidate's out_dir "/<tag>", which
+        # joins to the filesystem root, so no candidate may even be run
+        started = []
+
+        def record_run(cfg, root):
+            started.append(rl.parse_run_config(Path(cfg).read_text()).out_dir)
+            return {"status": "done"}
+
+        monkeypatch.setattr(rinslab.lab, "cmd_run", record_run)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(make_sweep_ini().replace("name = sw", "name ="))
+        assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert "error: sweep.name: must not be empty" in capsys.readouterr().err
+        assert started == []
 
     def test_path_refs_resolve_against_the_sweep_spec(self, tmp_path, monkeypatch):
         # candidate specs are written under the out-root, not beside the
@@ -867,22 +915,26 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("old, new, named", [
         ("peak_lr = 3e-3", "peak_lr = 0", "train.peak_lr"),
         ("batch_size = 4", "batch_size = 4\nweight_decay = -1", "train.weight_decay"),
-        ("batch_size = 4", "batch_size = 4\ncooldown_steps = -1", "cooldown_steps"),
+        ("batch_size = 4", "batch_size = 4\ncooldown_steps = -1", "train.cooldown_steps:"),
         ("batch_size = 4", "batch_size = 0", "train.batch_size"),
         ("batch_size = 4", "batch_size = 4\ngrad_clip_norm = -1",
          "train.grad_clip_norm"),
         ("eval_interval = 3", "eval_interval = 0", "train.eval_interval"),
         ("total_steps = 6", "total_steps = 0", "train.total_steps"),
         ("d_model = 16", "d_model = 0", "model.d_model"),
-        ("d_model = 16\nn_heads = 2", "d_model = 8\nn_heads = 3", "n_heads 3"),
+        ("d_model = 16\nn_heads = 2", "d_model = 8\nn_heads = 3", "model.n_heads:"),
         ("[train]", "[policy]\np_skip = 1.0\n\n[train]", "policy.p_skip"),
         ("[corpus]", "[baseline]\nsignature = A\nsteps = 0\n\n[corpus]",
          "baseline.steps"),
-        ("train = grammar:600", "train = grammar:1:2:3", "'grammar:1:2:3'"),
+        ("train = grammar:600", "train = grammar:1:2:3",
+         "corpus.train: corpus ref 'grammar:1:2:3'"),
+        ("train = grammar:600", "train = grammar:600\neval = held=grammar:1:2:3",
+         "corpus.eval.held: "),
+        ("seed = 0", "seed = -1", "run.seed: must be >= 0, got -1"),
         ("vocab = 65", "vocab = 60", "model.vocab"),
         ("train = grammar:600", "train = short.tokens", "corpus.train"),
         ("train = grammar:600", "train = grammar:600\neval = held=short.tokens",
-         "corpus.eval"),
+         "corpus.eval.held:"),
         ("[model]", "[model]\nnot a key value line", "config parse failure"),
         ("[model]\nd_model = 16\nn_heads = 2\nmlp_dim = 32\nvocab = 65\n"
          "seq_len = 16\ntotal_layers = 2\n", "", "[model]"),
@@ -895,6 +947,18 @@ class TestMainExitCodes:
         cfg.write_text(text.replace(old, new, 1))
         assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("name = demo\nout_dir = demo", "name =", "run.name"),  # out_dir defaults to it
+        ("out_dir = demo", "out_dir =", "run.out_dir"),
+    ])
+    def test_empty_name_is_2(self, tmp_path, capsys, old, new, named):
+        # an empty name would put the run's files straight into the out-root
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(make_ini().replace(old, new, 1))
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert f"error: {named}: must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_false_boolean_runs_to_done(self, tmp_path):
         cfg = tmp_path / "off.ini"
@@ -968,6 +1032,34 @@ class TestMainExitCodes:
         cfg.write_text(make_sweep_ini())
         assert cli.main(["sweep", str(cfg)]) == 0
         assert (tmp_path / "runs" / "sw" / "comparison.csv").exists()
+
+
+def set_key(text, name, value):
+    """text with section.key set to value; a missing section is appended."""
+    section, _, key = name.partition(".")
+    head = f"[{section}]\n"
+    if head not in text:
+        return f"{text}\n{head}{key} = {value}\n"
+    before, _, rest = text.partition(head)
+    body, nxt, after = rest.partition("\n[")
+    kept = [line for line in body.splitlines() if line.partition("=")[0].strip() != key]
+    return before + head + f"{key} = {value}\n" + "\n".join(kept) + nxt + after
+
+
+def typed_keys(command, keys):
+    return [(command, name) for name, (type_name, _, _) in keys.items()
+            if type_name != "str"]
+
+
+@pytest.mark.parametrize("command, name", typed_keys("run", rinslab.lab._RUN_KEYS)
+                         + typed_keys("sweep", rinslab.lab._SWEEP_KEYS))
+def test_wrong_type_names_the_key(tmp_path, capsys, command, name):
+    base = make_ini(baseline=("AB", 8)) if command == "run" else make_sweep_ini()
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(set_key(base, name, "x"))
+    assert cli.main([command, str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name}: expected ")
+    assert not (tmp_path / "runs").exists()
 
 
 class TestCorpusRefs:
