@@ -104,6 +104,18 @@ def _nonempty(v: str):
     return None if v else "must not be empty"
 
 
+def _below_root(v: str):
+    """A run directory must stay inside the out-root: a fresh start there
+    deletes the checkpoint and traces it finds."""
+    if not v:
+        return "must not be empty"
+    if Path(v).is_absolute():
+        return f"must be a path relative to the out-root, got {v!r}"
+    if ".." in Path(v).parts:
+        return f"must not leave the out-root through '..', got {v!r}"
+    return None
+
+
 # The sections that are a dataclass: its fields are the section's keys and
 # hold their defaults and checks. The INI never sets r_max (it comes from
 # the signature), seed (from [run]) or Adam's betas and eps (fixed).
@@ -115,7 +127,7 @@ _FIXED_FIELDS = {"policy.r_max", "train.seed", "train.beta1", "train.beta2", "tr
 # a required key, except [baseline], which is optional as a whole.
 _RUN_KEYS = {
     "run.name": ("str", True, _nonempty),
-    "run.out_dir": ("str", False, _nonempty),
+    "run.out_dir": ("str", False, _below_root),
     "run.seed": ("int", False, _at_least(0)),
     "signature.value": ("str", True, None),
     **{
@@ -135,7 +147,7 @@ _RUN_KEYS = {
 # A sweep spec shares [model], [train], [corpus] and run.seed with the run
 # spec it writes for each candidate.
 _SWEEP_KEYS = {
-    "sweep.name": ("str", False, _nonempty),
+    "sweep.name": ("str", False, _below_root),
     "sweep.baseline_signature": ("str", True, None),
     "sweep.baseline_steps": _RUN_KEYS["baseline.steps"],
     **{name: k for name, k in _RUN_KEYS.items()
@@ -144,7 +156,10 @@ _SWEEP_KEYS = {
 
 
 def _parse_ini(text: str, keys: dict) -> dict[str, dict[str, str]]:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # No section header can be empty, so [DEFAULT] is an ordinary, unknown
+    # section here rather than defaults merged into every other section.
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as e:
@@ -254,6 +269,12 @@ def config_hash(spec: RunSpec) -> str:
 def parse_run_config(text: str) -> RunSpec:
     raw = _parse_ini(text, _RUN_KEYS)
     name = _value(raw, _RUN_KEYS, "run.name")
+    out_dir = _value(raw, _RUN_KEYS, "run.out_dir")
+    if out_dir is None:  # the name stands in for the run directory
+        refusal = _below_root(name)
+        if refusal:
+            raise ConfigError(f"run.name: {refusal}")
+        out_dir = name
     seed = _value(raw, _RUN_KEYS, "run.seed", 0)
 
     dims = _section(raw, "model")
@@ -294,7 +315,7 @@ def parse_run_config(text: str) -> RunSpec:
 
     return RunSpec(
         name=name,
-        out_dir=_value(raw, _RUN_KEYS, "run.out_dir", name),
+        out_dir=out_dir,
         seed=seed,
         signature=signature,
         dims=dims,
@@ -454,6 +475,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
     processes.append({
         "from_step": from_step,
         "lanes": model_mod._LANES,
+        "malloc": model_mod._MALLOC,
         "blas_threads": {
             var: os.environ.get(var)
             for reads in model_mod._BLAS_THREAD_VARS.values() for var in reads

@@ -20,6 +20,7 @@ twice on one cache with bitwise-equal results.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -126,6 +127,15 @@ def embed_bwd(dh, cache):
     return dtok, dpos_rows, T
 
 
+@functools.lru_cache(maxsize=64)
+def _above_diagonal(T):
+    """(T, T) boolean, True where a key comes after its query: the scores
+    causal attention masks. Cached per T, so it is read-only."""
+    blocked = ~np.tri(T, dtype=bool)
+    blocked.flags.writeable = False
+    return blocked
+
+
 def _heads(x, B, T, n_heads):
     """(B, H, T, hd) view of a (B*T, d) or (B, T, d) array."""
     return x.reshape(B, T, n_heads, -1).transpose(0, 2, 1, 3)
@@ -167,14 +177,14 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     """
     B, T, d = xn.shape
     x2 = xn.reshape(-1, d)
-    allow = np.tri(T, dtype=bool)
+    blocked = _above_diagonal(T)
     if mask is not None:
-        allow = allow & mask
+        blocked = blocked | ~mask
     xq = xn
     if rows is not None:
         xq = np.take_along_axis(xn, rows[:, :, None], axis=1)
-        allow = np.take_along_axis(
-            np.broadcast_to(allow, (B, 1, T, T)), rows[:, None, :, None], axis=2
+        blocked = np.take_along_axis(
+            np.broadcast_to(blocked, (B, 1, T, T)), rows[:, None, :, None], axis=2
         )
     Tq = xq.shape[1]
     q = _dense(xq.reshape(-1, d), p, prefix + "q", prefix + "q_bias")
@@ -188,10 +198,12 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     vh = _heads(v, B, T, n_heads)
     scale = 1.0 / math.sqrt(d // n_heads)
     # Softmax in place on the scores buffer; masked scores become exp(-inf) = 0.
+    # The row max with an initial value takes numpy's faster reduction path;
+    # a max is exact, so the result is the same either way.
     probs = qh @ kh.transpose(0, 1, 3, 2)
     probs *= scale
-    np.copyto(probs, -np.inf, where=~allow)
-    probs -= probs.max(axis=-1, keepdims=True)
+    np.copyto(probs, -np.inf, where=blocked)
+    probs -= probs.max(axis=-1, keepdims=True, initial=-np.inf)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     ctx = np.empty_like(q)

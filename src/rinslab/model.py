@@ -16,7 +16,8 @@ and then B. Three optional mechanisms layer on top:
 
 Adapters and KV sharing need a plan that runs A^r B. Gradients for a shared
 block are the sum of the per-call gradients; the backward pass realizes this
-by plain accumulation into one dict keyed by parameter name.
+by plain accumulation into one flat buffer, a view per parameter name, laid
+out in _param_shapes order.
 
 One executor serves every entry point. It takes a list of round counts:
 training and forward() pass one, forward_depths() several, and then each
@@ -39,6 +40,7 @@ alone.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +65,7 @@ from .layers import (
     softmax_xent_fwd,
 )
 from .ledger import ModelDims, plan_layers_per_block
+from .optim import _Flat, _Layout
 from .signatures import ExecutionPlan, leaf_label, to_tagged
 
 __all__ = [
@@ -193,6 +196,35 @@ def _count_lanes(blas: str) -> int:
 _LANES = _count_lanes(_blas_name())
 
 
+def _pin_malloc() -> Optional[dict]:
+    """Fix glibc's mmap and trim thresholds at the ceiling its dynamic rule
+    can reach (32 MiB for mmap, twice that for trim) and return them, or
+    None where the C library has no working mallopt.
+
+    Left dynamic, the thresholds move with the sizes freed so far, so which
+    arrays of a step are mmapped, and how much freed heap is handed back to
+    the kernel, depends on the history of the process: a step could take
+    tens of thousands of minor page faults to map memory it just returned.
+    Pinned, arrays below 32 MiB come from the heap and stay mapped between
+    steps. It changes where arrays live, never their values.
+    """
+    want = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+    option = {"mmap_threshold": -3, "trim_threshold": -1}  # M_* in malloc.h
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if not all(mallopt(option[k], v) == 1 for k, v in want.items()):
+        return None
+    return want
+
+
+# The allocator thresholds this process runs with, or None; the manifest
+# records them next to the lanes.
+_MALLOC = _pin_malloc()
+
+
 def _param_shapes(
     plan: ExecutionPlan, dims: ModelDims, adapters: bool
 ) -> dict[str, tuple[int, ...]]:
@@ -270,6 +302,7 @@ class RecursiveModel:
                 f"{to_tagged(plan.source)} running leaves {plan.leaf_sequence}"
             )
         self._labels = [leaf_label(i) for i in range(plan.unique_leaf_count)]
+        self._layout = _Layout(self.param_shapes())
 
     # ---------------------------------------------------------------- params
 
@@ -376,14 +409,16 @@ class RecursiveModel:
         The batch runs in micro-batches of whole sequences (see
         _micro_batches), each a forward and a backward of its own, and each
         group's loss and logit gradient are weighted by its share of the
-        tokens. Each group backpropagates into a gradient dict of its own,
-        and the group dicts are added to the total in group order, each
-        freed as it is added; groups run two at a time on two lanes (see
-        _in_order), so the sums are bitwise the same on one lane and on two.
-        A batch that fits in one group runs exactly as one forward and
-        backward over the whole batch. 1-D tokens are a batch of one
-        sequence.
+        tokens. Each group backpropagates into a fresh flat buffer of its
+        own, in the layout of _param_shapes, and the group buffers are added
+        to the first in group order, each freed as it is added; groups run
+        two at a time on two lanes (see _in_order), so the sums are bitwise
+        the same on one lane and on two. A batch that fits in one group runs
+        exactly as one forward and backward over the whole batch. 1-D
+        tokens are a batch of one sequence.
 
+        The gradients are views of that one buffer, keyed in the order the
+        backward first reached them, so every call returns new memory.
         Parameters a given execution never touches (other rounds' adapters,
         position rows beyond T) come back with zero gradients so the
         optimizer can treat the dict as total.
@@ -396,18 +431,22 @@ class RecursiveModel:
             loss, xc = softmax_xent_fwd(logits, tgt)
             dlogits = softmax_xent_bwd(xc)
             dlogits *= share
-            grads = {}
+            grads = _Flat(np.empty(self._layout.size, dtype), self._layout)
             self._backward(params, tape, dlogits, grads)
             return loss * share, grads, info
 
-        loss, grads = 0.0, {}
+        dtype = np.result_type(*params.values())
+        loss, grads = 0.0, None
         jobs = self._jobs(tokens, targets, segments)
         for group_loss, group, info in _in_order(group_grads, jobs):
             loss += group_loss
-            _acc_many(grads, group)
+            if grads is None:
+                grads = group
+            else:
+                grads.flat += group.flat
             del group  # hold no group's gradients while the next pair runs
         for name, p in params.items():
-            if name not in grads:
+            if name not in grads:  # a name outside the layout: the dict stops being flat
                 grads[name] = np.zeros_like(p)
         return loss, grads, info
 
@@ -594,13 +633,19 @@ class RecursiveModel:
         ]
 
     def _backward(self, params, tape, dlogits, grads):
-        """Accumulate the tape's gradients into grads (name -> array), which
-        starts empty: the head and the adapter, used once per tape, are set."""
+        """Add the tape's gradients into grads, a _Flat over a fresh buffer
+        that holds no name yet. Each name's first contribution is copied into
+        its view and later ones are added to it; the views of names the tape
+        never reaches are filled with zeros at the end."""
+        add = grads.add
         c_final, xnf = tape["final"]
-        dxnf = _dense_bwd(dlogits, xnf, params, "head.w", "head.b", grads)
+        head = {}
+        dxnf = _dense_bwd(dlogits, xnf, params, "head.w", "head.b", head)
+        for name, g in head.items():
+            add(name, g)
         dh, dgam, dbet = layernorm_bwd(dxnf, c_final)
-        _acc(grads, "final_norm.gamma", dgam)
-        _acc(grads, "final_norm.beta", dbet)
+        add("final_norm.gamma", dgam)
+        add("final_norm.beta", dbet)
 
         # (leaf, layer) -> (dk, dv) summed over the calls that consumed that
         # leaf's first-call keys and values, awaiting the call that made them;
@@ -611,29 +656,36 @@ class RecursiveModel:
             for l in range(len(call["layers"]) - 1, -1, -1):
                 prefix, c_ln1, c_attn, c_ln2, c_mlp = call["layers"][l]
                 dxn2, g = mlp_bwd(dh, c_mlp, params, prefix + "mlp.")
-                _acc_many(grads, g)
+                for name, gi in g.items():
+                    add(name, gi)
                 dres, dgam, dbet = layernorm_bwd(dxn2, c_ln2)
-                _acc(grads, prefix + "ln2.gamma", dgam)
-                _acc(grads, prefix + "ln2.beta", dbet)
+                add(prefix + "ln2.gamma", dgam)
+                add(prefix + "ln2.beta", dbet)
                 dh = dh + dres
 
                 dk, dv = pending_kv.get((leaf, l), (None, None))
                 dxn1, g, dk, dv = attention_bwd(dh, c_attn, params, prefix + "attn.", dk, dv)
                 pending_kv[(leaf, l)] = (dk, dv)
-                _acc_many(grads, g)
+                for name, gi in g.items():
+                    add(name, gi)
                 dres, dgam, dbet = layernorm_bwd(dxn1, c_ln1)
-                _acc(grads, prefix + "ln1.gamma", dgam)
-                _acc(grads, prefix + "ln1.beta", dbet)
+                add(prefix + "ln1.gamma", dgam)
+                add(prefix + "ln1.beta", dbet)
                 dh = dh + dres
             if call["adapter"] is not None:
                 a_name, a_in = call["adapter"]
-                dh = _dense_bwd(dh, a_in, params, a_name, None, grads)
+                g = {}
+                dh = _dense_bwd(dh, a_in, params, a_name, None, g)
+                add(a_name, g[a_name])
 
         dtok, dpos_rows, T = embed_bwd(dh, tape["emb"])
-        _acc(grads, "embed.token", dtok)
-        dpos = np.zeros_like(params["embed.pos"])
+        add("embed.token", dtok)
+        dpos = grads.view("embed.pos")
         dpos[:T] = dpos_rows
-        _acc(grads, "embed.pos", dpos)
+        dpos[T:] = 0
+        for name in self._layout.spans:
+            if name not in grads:
+                grads.view(name).fill(0)
 
 
 def _in_order(fn, jobs):
@@ -690,15 +742,3 @@ def _check_ids(ids: np.ndarray, vocab: int, name: str):
 
 def _mask(segments):
     return None if segments is None else segments_to_mask(segments)
-
-
-def _acc(grads: dict, name: str, g: np.ndarray):
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
-
-
-def _acc_many(grads: dict, new: dict):
-    for name, g in new.items():
-        _acc(grads, name, g)

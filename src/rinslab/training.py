@@ -133,6 +133,13 @@ def train(
     one past cfg.total_steps.
     After an abort the final checkpoint is the state after the last
     completed step, since the aborted step updated nothing.
+
+    When params hold exactly the model's parameter names and shapes in one
+    dtype, their values are copied into one flat buffer and each entry of
+    params is rebound to its view of it (as a resume rebinds them to the
+    checkpoint's arrays); Adam's moments get the same layout, so adam_step
+    updates the buffers in cache-sized chunks. Updates reach the caller
+    through params either way.
     """
     if not batches:
         raise ValueError("no training batches")
@@ -184,8 +191,16 @@ def train(
         start_step = ckpt.step
         trace.records = [TraceRecord(**row) for row in ckpt.extra["trace"]]
 
+    flat = model._layout.gather(params)
+    if flat is not None:
+        params.update(flat)
+        params = flat
     if adam is None:
         adam = init_adam_state(params)
+    else:
+        m, v = (model._layout.gather(x) for x in (adam.m, adam.v))
+        if m is not None and v is not None:
+            adam = AdamState(m=m, v=v)
     cum_compute = trace.records[-1].compute if trace.records else 0.0
     initial_loss = trace.records[0].train_loss if trace.records else None
 

@@ -368,6 +368,14 @@ class TestCmdRun:
             assert process["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
             assert process["blas_threads"]["MKL_NUM_THREADS"] is None
             assert "OMP_NUM_THREADS" in process["blas_threads"]
+            assert process["malloc"] == model_mod._MALLOC
+            assert manifest["config_hash"] == chash
+        # the allocator pin is recorded as it is, or as null without mallopt
+        for pin in (None, {"mmap_threshold": 1 << 20, "trim_threshold": 1 << 21}):
+            monkeypatch.setattr(model_mod, "_MALLOC", pin)
+            manifest = rl.cmd_run(cfg, out_root=str(tmp_path / "runs"), force=True)
+            saved = json.loads((tmp_path / "runs" / "demo" / "manifest.json").read_text())
+            assert saved["processes"][0]["malloc"] == pin
             assert manifest["config_hash"] == chash
 
     @pytest.mark.parametrize("first,then", [(1, 2), (2, 1)])
@@ -849,6 +857,53 @@ class TestCmdEval:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize("defaults", ["name = x", "batch_size = 2"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_default_section_is_refused_by_name(self, tmp_path, capsys, command,
+                                                defaults):
+        # configparser would merge [DEFAULT] into every section, and the
+        # refusal would name a key of another section
+        cfg = tmp_path / "spec.ini"
+        body = make_ini() if command == "run" else make_sweep_ini()
+        cfg.write_text(f"[DEFAULT]\n{defaults}\n{body}")
+        assert cli.main([command, str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "[DEFAULT]" in err and "signature." not in err and "run." not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key,line", [
+        ("run.out_dir", "out_dir = {abs}"),
+        ("run.out_dir", "out_dir = ../outside"),
+        ("run.out_dir", "out_dir = inside/../../outside"),
+        ("run.name", "name = ../outside"),
+        ("run.name", "name = {abs}"),
+    ])
+    def test_run_dir_outside_the_out_root_is_2(self, tmp_path, capsys, key, line):
+        # every path below resolves inside tmp_path, so a tree that accepts
+        # them writes nowhere else
+        absolute = tmp_path / "elsewhere"
+        text = make_ini()
+        if key == "run.name":
+            text = text.replace("name = demo\nout_dir = demo\n",
+                                line.format(abs=absolute) + "\n")
+        else:
+            text = text.replace("out_dir = demo", line.format(abs=absolute))
+        cfg = tmp_path / "esc.ini"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.count(f"{key}: must") == 1
+        for where in (absolute, tmp_path / "outside", tmp_path / "runs"):
+            assert not where.exists(), where
+
+    @pytest.mark.parametrize("name", ["../sweeps", "/abs/sweeps"])
+    def test_sweep_dir_outside_the_out_root_is_2(self, tmp_path, capsys, name):
+        cfg = tmp_path / "sweep.ini"
+        name = name.replace("/abs", str(tmp_path))
+        cfg.write_text(make_sweep_ini().replace("name = sw", f"name = {name}"))
+        assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 2
+        assert "sweep.name: must" in capsys.readouterr().err
+        assert not (tmp_path / "sweeps").exists() and not (tmp_path / "runs").exists()
+
     def test_run_ok(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RINSLAB_OUT_ROOT", str(tmp_path / "runs"))
         cfg = tmp_path / "demo.ini"

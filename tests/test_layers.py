@@ -117,6 +117,27 @@ class TestAttention:
             p[f"blk.attn.{name}_bias"] = rng.normal(size=(d,)) * 0.1
         return p
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_mask_is_bitwise_an_all_true_mask(self, rng, dtype):
+        d, h, T, B = 8, 2, 6, 3
+        x = rng.normal(size=(B, T, d)).astype(dtype)
+        p = {k: v.astype(dtype) for k, v in self._params(rng, d).items()}
+        rows = np.array([[5, 0], [2, 2], [4, 1]])
+        for mask in (np.ones((T, T), bool), np.ones((B, 1, T, T), bool)):
+            for sel in ({}, {"rows": rows}):
+                plain = layers.attention_fwd(x, p, "blk.attn.", h, **sel)
+                masked = layers.attention_fwd(x, p, "blk.attn.", h, None, mask, **sel)
+                assert plain[0].tobytes() == masked[0].tobytes()
+                assert plain[2][4].tobytes() == masked[2][4].tobytes()  # probs
+
+    def test_cached_causal_masks_reject_writes(self):
+        for T in (1, 5, 48):
+            blocked = layers._above_diagonal(T)
+            assert blocked is layers._above_diagonal(T)
+            assert np.array_equal(blocked, ~np.tri(T, dtype=bool))
+            with pytest.raises(ValueError):
+                blocked[0, -1] = False
+
     def test_grads(self, rng):
         d, h, T, B = 8, 2, 4, 2
         x = rng.normal(size=(B, T, d)).astype(np.float64)

@@ -479,6 +479,39 @@ class TestForwardRows:
         assert calls.count(("B", False)) == 3 * 2 - 2
 
 
+class TestFlatGradients:
+    """loss_and_grads returns views of one fresh buffer per call."""
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_two_calls_never_share_memory(self, tiny_dims, toks, monkeypatch, lanes):
+        import rinslab.model as model_mod
+
+        monkeypatch.setattr(model_mod, "_LANES", lanes)
+        monkeypatch.setattr(model_mod, "_GROUP_BYTES", 2 * 1280)  # two groups
+        t, u = toks
+        m = make_model(tiny_dims, "A^2B", policy=rl.RecursionPolicy(
+            r_max=2, kv_share=True, adapters=True))
+        p = m.init_params(0)
+        _, first, _ = m.loss_and_grads(p, t, u, rounds=1)
+        kept = {k: v.copy() for k, v in first.items()}
+        _, second, _ = m.loss_and_grads(p, t, u, rounds=2)
+        assert first.keys() == second.keys() == p.keys()
+        for k in first:
+            for other in list(second.values()) + list(p.values()):
+                assert not np.shares_memory(first[k], other), k
+            assert first[k].tobytes() == kept[k].tobytes(), k
+        # the adapter rounds=1 never runs comes back as zeros, not garbage
+        assert not second["adapter.1"].any() and not first["adapter.2"].any()
+
+    def test_extra_param_names_get_zero_gradients(self, tiny_dims, toks):
+        t, u = toks
+        m = make_model(tiny_dims, "AB")
+        p = dict(m.init_params(0), extra=np.ones(3))
+        _, grads, _ = m.loss_and_grads(p, t, u)
+        assert grads.keys() == p.keys()
+        assert np.array_equal(grads["extra"], np.zeros(3))
+
+
 class TestModelGradients:
     @pytest.mark.parametrize("kv_share", [False, True])
     @pytest.mark.parametrize("adapters", [False, True])

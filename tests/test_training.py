@@ -74,6 +74,30 @@ class TestDeterminism:
         ]
 
 
+class TestFlatParams:
+    def test_train_rebinds_params_to_views_of_one_buffer(self):
+        model, params, batches, cfg = tiny_setup(total_steps=3, warmup=1)
+        before = {k: v.copy() for k, v in params.items()}
+        order = list(params)
+        ref = {k: v.copy() for k, v in params.items()}
+        _, adam = rl.train(model, params, batches, cfg)
+        assert list(params) == order
+        base = params["embed.token"].base
+        assert base is not None and base.ndim == 1
+        assert all(v.base is base for v in params.values())
+        assert all(not np.shares_memory(v, ref[k]) for k, v in params.items())
+        assert any(not np.array_equal(params[k], before[k]) for k in params)
+        for d in (adam.m, adam.v):
+            assert len({id(v.base) for v in d.values()}) == 1
+        # the same run on a dict train() cannot flatten (one extra name
+        # the model never reads) updates bitwise the same
+        plain = dict(ref, extra=np.zeros(2, np.float32))
+        rl.train(model, plain, batches, cfg)
+        assert plain["embed.token"].base is None
+        for k in params:
+            assert params[k].tobytes() == plain[k].tobytes(), k
+
+
 class TestStochasticRecording:
     def test_rounds_logged_each_step(self):
         model, params, batches, cfg = tiny_setup("AAAB", p_skip=0.5, total_steps=40)
