@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -147,8 +148,16 @@ class _Sampler:
         depths = min_depths(spec)
         self.forced = _forced_production(spec, depths)
         self.rhs = {nt: [rhs for rhs, _ in prods] for nt, prods in spec.rules.items()}
+        # Python floats, searched with bisect: the same comparisons as
+        # np.searchsorted on the float64 cumsum, without a numpy call per symbol.
         self.cum = {
-            nt: np.cumsum([p for _, p in prods]) for nt, prods in spec.rules.items()
+            nt: np.cumsum([p for _, p in prods]).tolist()
+            for nt, prods in spec.rules.items()
+        }
+        # productions with no nonterminal, emitted whole
+        self.terminal_only = {
+            nt: [not any(isinstance(sym, str) for sym in rhs) for rhs in choices]
+            for nt, choices in self.rhs.items()
         }
 
     def sample(self, rng: np.random.Generator) -> list[int]:
@@ -164,11 +173,15 @@ class _Sampler:
                 continue
             choices = self.rhs[sym]
             if depth >= cap:
-                rhs = choices[self.forced[sym]]
+                idx = self.forced[sym]
             else:
-                cum = self.cum[sym]
-                idx = int(np.searchsorted(cum, rng.random(), side="right"))
-                rhs = choices[min(idx, len(choices) - 1)]
+                # one draw per sampled choice, none per forced one
+                idx = min(bisect_right(self.cum[sym], rng.random()), len(choices) - 1)
+            rhs = choices[idx]
+            if self.terminal_only[sym][idx]:
+                # pushed, they would be popped next and in order
+                out.extend(rhs)
+                continue
             for child in reversed(rhs):
                 stack.append((child, depth + 1))
         return out

@@ -576,16 +576,19 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
     corpus refs are checked before any candidate starts, relative paths
     against the sweep spec's directory, and the candidate specs name those
     paths resolved. A candidate that raises is recorded with status
-    "failed" and the sweep goes on. Policies are deterministic full-depth
+    "failed" and the sweep goes on. A feasible candidate that the baseline
+    budget gives 0 matched steps is recorded "skipped-budget" before any
+    candidate runs, and gets no spec. Policies are deterministic full-depth
     here; stochastic knobs belong to single runs.
-    Emits comparison.csv with one row per candidate, infeasible ones
+    Emits comparison.csv with one row per candidate, skipped ones
     included."""
     config_path = Path(config_path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
     raw = _parse_ini(config_path.read_text(encoding="utf-8"), _SWEEP_KEYS)
     sweep_name = _value(raw, _SWEEP_KEYS, "sweep.name", "sweep")
-    _value(raw, _SWEEP_KEYS, "sweep.baseline_steps")  # the candidates say baseline.steps
+    # checked under the sweep's key; the candidates say baseline.steps
+    bsteps = _value(raw, _SWEEP_KEYS, "sweep.baseline_steps")
     dims = _section(raw, "model")
     bsig = _signature(raw["sweep"]["baseline_signature"], "sweep.baseline_signature", dims)
     # the shared sections and corpora fail here, once, not in every candidate,
@@ -606,6 +609,7 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
     sweep_dir.mkdir(parents=True, exist_ok=True)
 
     candidates = enumerate_sweep(dims.total_layers)
+    bplan = expand(bsig)
     rows: list[dict] = []
     pending: list[tuple[dict, Path]] = []
     for sig, feasible in candidates:
@@ -617,6 +621,11 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
         }
         if not feasible:
             row["status"] = "skipped-infeasible"
+            rows.append(row)
+            continue
+        if matched_steps(bplan, expand(sig), dims, dims, bsteps) < 1:
+            row["status"] = "skipped-budget"
+            row["steps"] = 0
             rows.append(row)
             continue
         cfg_text = _sweep_candidate_config(raw, sig, sweep_name)
@@ -657,6 +666,9 @@ def cmd_sweep(config_path, out_root: Optional[str] = None) -> list[dict]:
 # ----------------------------------------------------------------- fit/report
 
 
+_FIT_POINTS = 4  # the fewest points fit_power_law takes
+
+
 def _check_fit_args(use: str, last_frac: float):
     if use != "train" and not use.startswith("eval:"):
         raise ConfigError(f"--use must be 'train' or 'eval:<name>', got {use!r}")
@@ -665,17 +677,24 @@ def _check_fit_args(use: str, last_frac: float):
 
 
 def _load_run(run_dir: Path, use: str) -> tuple[dict, list[tuple[float, float]]]:
-    """A run directory's manifest and every (compute, loss) point of `use`."""
+    """A run directory's manifest and every (compute, loss) point of `use`;
+    a run with fewer points than a fit needs is refused by name."""
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     trace = LossTrace.from_jsonl(run_dir / "trace.jsonl")
     if use == "train":
-        return manifest, [(r.compute, r.train_loss) for r in trace.records]
-    name = use[len("eval:"):]
-    pts = trace.eval_points(name)
-    if not pts:
+        pts = [(r.compute, r.train_loss) for r in trace.records]
+    else:
+        name = use[len("eval:"):]
+        pts = trace.eval_points(name)
+        if not pts:
+            raise ConfigError(
+                f"{run_dir}: no eval points named {name!r} in trace "
+                f"(have {trace.eval_names})"
+            )
+    if len(pts) < _FIT_POINTS:
         raise ConfigError(
-            f"{run_dir}: no eval points named {name!r} in trace "
-            f"(have {trace.eval_names})"
+            f"{run_dir}: {len(pts)} points of {use!r}, a fit needs at least "
+            f"{_FIT_POINTS}"
         )
     return manifest, pts
 
@@ -698,10 +717,10 @@ def _load_runs(run_dirs, use: str) -> list[tuple[dict, list[tuple[float, float]]
 
 
 def _fit_runs(runs, out_path, last_frac: float) -> dict[str, FitResult]:
-    """Fit the last last_frac of each run's points (at least four)."""
+    """Fit the last last_frac of each run's points (at least _FIT_POINTS)."""
     fits: dict[str, FitResult] = {}
     for manifest, pts in runs:
-        k = max(4, int(round(len(pts) * last_frac)))
+        k = max(_FIT_POINTS, int(round(len(pts) * last_frac)))
         fits[manifest["name"]] = fit_power_law(pts[-k:])
     if out_path is not None:
         write_fits_json(out_path, fits)

@@ -95,7 +95,9 @@ def layernorm_bwd(dy, cache):
     dy2 = dy.reshape(xhat.shape)
     d = xhat.shape[1]
     dgamma = np.einsum("ij,ij->j", dy2, xhat)
-    dbeta = dy2.sum(axis=0)
+    # einsum adds the rows in sequence, as .sum(axis=0) does for two or more
+    # columns: the same bits in about half the time at these shapes
+    dbeta = np.einsum("ij->j", dy2)
     dxhat = dy2 * gamma
     # dx folds the mean and variance paths into two row-wise corrections:
     # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
@@ -157,7 +159,7 @@ def _dense_bwd(dy, x, p, w, b, grads):
     dy2 = dy.reshape(-1, dy.shape[-1])
     grads[w] = x.reshape(-1, x.shape[-1]).T @ dy2
     if b is not None:
-        grads[b] = dy2.sum(axis=0)
+        grads[b] = np.einsum("ij->j", dy2)  # see layernorm_bwd's dbeta
     return (dy2 @ p[w].T).reshape(x.shape)
 
 
@@ -258,16 +260,24 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
 
 
 def mlp_fwd(xn, p, prefix):
+    # The cache holds GELU's input and tanh term; mlp_bwd rebuilds GELU's
+    # output from them rather than keep a third rows x mlp_dim array on a tape.
     x2 = xn.reshape(-1, xn.shape[-1])
     a, gcache = gelu_fwd(_dense(x2, p, prefix + "w_in", prefix + "b_in"))
     out = _dense(a, p, prefix + "w_out", prefix + "b_out")
-    return out.reshape(xn.shape[:-1] + (-1,)), (x2, gcache, a)
+    return out.reshape(xn.shape[:-1] + (-1,)), (x2, gcache)
 
 
 def mlp_bwd(dout, cache, p, prefix):
-    x2, gcache, a = cache
+    x2, gcache = cache
+    # GELU's output, by gelu_fwd's own operations in its order: the same bits.
+    h1, t = gcache
+    a = t + 1.0
+    a *= h1
+    a *= 0.5
     grads: dict[str, np.ndarray] = {}
     da = _dense_bwd(dout, a, p, prefix + "w_out", prefix + "b_out", grads)
+    del a  # free before GELU's backward allocates its two buffers
     dh1 = gelu_bwd(da, gcache)
     dxn = _dense_bwd(dh1, x2, p, prefix + "w_in", prefix + "b_in", grads)
     return dxn.reshape(dout.shape[:-1] + (-1,)), grads

@@ -430,6 +430,7 @@ class RecursiveModel:
                                                  need_tape=True)
             loss, xc = softmax_xent_fwd(logits, tgt)
             dlogits = softmax_xent_bwd(xc)
+            del logits, xc  # the backward reads neither
             dlogits *= share
             grads = _Flat(np.empty(self._layout.size, dtype), self._layout)
             self._backward(params, tape, dlogits, grads)

@@ -688,6 +688,36 @@ class TestCmdSweep:
         rows = (tmp_path / "runs" / "sw" / "comparison.csv").read_text().splitlines()
         assert sum(",failed," in r for r in rows) == len(failed)
 
+    def test_zero_step_candidates_are_skipped_not_failed(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # 3 steps of A at 4 layers buy no step of the four deepest candidates;
+        # they are marked before any candidate runs, and get no spec
+        started = []
+        run = rinslab.lab.cmd_run
+
+        def record_run(cfg, root):
+            started.append(Path(cfg).name)
+            return run(cfg, root)
+
+        monkeypatch.setattr(rinslab.lab, "cmd_run", record_run)
+        text = (make_sweep_ini().replace("baseline_steps = 8", "baseline_steps = 3")
+                .replace("total_layers = 2", "total_layers = 4"))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        assert cli.main(["sweep", str(cfg), "--out-root", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        skipped = {"AAAA@d1", "ABBB@d2", "AAAB@d2", "AABB@d2"}
+        assert {line.split(":")[0] for line in out.splitlines()
+                if line.endswith(": skipped-budget")} == skipped
+        assert ": failed" not in out
+        sweep_dir = tmp_path / "runs" / "sw"
+        for tag in ("aaaa-d1", "abbb-d2", "aaab-d2", "aabb-d2"):
+            assert not (sweep_dir / f"candidate-{tag}.ini").exists()
+            assert f"candidate-{tag}.ini" not in started
+        assert "candidate-a-d1.ini" in started
+        rows = (sweep_dir / "comparison.csv").read_text().splitlines()
+        assert sum(",skipped-budget," in r for r in rows) == 4
+
 
 @pytest.fixture(scope="module")
 def family_dirs(tmp_path_factory):
@@ -781,6 +811,26 @@ class TestFitReport:
         summary = rl.cmd_report([str(family_dirs[0])], out_dir)
         assert "pattern" not in summary
         assert not (out_dir / "breakpoints.csv").exists()
+
+    def test_run_too_short_to_fit_is_2_and_named(self, tmp_path, capsys):
+        # 8 steps at eval_interval 3: held-out points at steps 3, 6 and 8,
+        # one fewer than a fit takes; the 8 train points are enough
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(make_ini(name="short", total_steps=8,
+                                eval_line="eval = held=grammar:300"))
+        rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        short = str(tmp_path / "runs" / "short")
+        assert "short" in rl.cmd_fit([short])
+        with pytest.raises(rl.ConfigError, match="3 points of 'eval:held'"):
+            rl.cmd_fit([short], use="eval:held")
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        for argv in (["fit", short, "--use", "eval:held"],
+                     ["report", short, "--out-dir", str(rep), "--use", "eval:held"]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert short in err and "3 points" in err, err
+        assert not (rep / "fits.json").exists()
 
 
 @pytest.fixture(scope="module")

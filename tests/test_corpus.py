@@ -1,5 +1,6 @@
 """Grammar sampling, packing, and tokenizer behavior."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -95,6 +96,74 @@ class TestSampling:
         docs = rl.generate_corpus(rl.default_grammar(seed=1), 10_000)
         flat = np.concatenate([np.asarray(d) for d in docs])
         assert flat.min() >= 0 and flat.max() < 64
+
+
+def reference_sample(spec, rng):
+    """One document by the plain sampler: every symbol pushed and popped,
+    one np.searchsorted per sampled choice."""
+    depths = rl.min_depths(spec)
+    out, stack = [], [(spec.start, 0)]
+    while stack:
+        sym, depth = stack.pop()
+        if not isinstance(sym, str):
+            out.append(sym)
+            continue
+        prods = spec.rules[sym]
+        if depth >= spec.depth_cap:
+            rhs = min(prods, key=lambda pr: 1 + max(
+                (depths[s] for s in pr[0] if isinstance(s, str)), default=0))[0]
+        else:
+            cum = np.cumsum([p for _, p in prods])
+            idx = int(np.searchsorted(cum, rng.random(), side="right"))
+            rhs = prods[min(idx, len(prods) - 1)][0]
+        for child in reversed(rhs):
+            stack.append((child, depth + 1))
+    return out
+
+
+def reference_corpus(spec, n_tokens, rng):
+    docs, total = [], 0
+    while total < n_tokens:
+        doc = reference_sample(spec, rng)
+        if doc:
+            docs.append(doc)
+            total += len(doc)
+    return docs
+
+
+class TestSamplerMatchesReference:
+    """generate_corpus writes the reference sampler's documents and leaves
+    the generator where the reference leaves it."""
+
+    # S nests past a depth cap of 5 most of the time; T mixes a terminal
+    # digram with a recursive production; S can also derive nothing
+    CAPPED = rl.GrammarSpec.from_productions(
+        rules={"S": [(("S", "S"), 0.6), (("T", 5), 0.3), ((), 0.1)],
+               "T": [((1, "T"), 0.5), ((2, 3), 0.5)]},
+        start="S", depth_cap=5, terminal_vocab=8, seed=2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_house_grammar(self, seed):
+        spec = rl.default_grammar(seed=seed)
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rl.generate_corpus(spec, 4000, rng=ra) == reference_corpus(spec, 4000, rb)
+        assert ra.random() == rb.random()
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_depth_capped_grammar(self, seed):
+        spec = self.CAPPED
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        docs = rl.generate_corpus(spec, 3000, rng=ra)
+        assert docs == reference_corpus(spec, 3000, rb)
+        assert ra.random() == rb.random()
+        # the cap shaped these documents: one level more gives others
+        deeper = dataclasses.replace(spec, depth_cap=6)
+        assert rl.generate_corpus(deeper, 3000, rng=np.random.default_rng(seed)) != docs
+
+    def test_default_generator_is_seeded_by_the_spec(self):
+        spec = rl.default_grammar(seed=5)
+        assert rl.generate_corpus(spec, 2000) == reference_corpus(
+            spec, 2000, np.random.default_rng(5))
 
 
 class TestPacking:

@@ -235,6 +235,46 @@ class TestAttention:
         assert np.allclose(out_masked[0, 3:], out_alone[0], atol=1e-10)
 
 
+class TestMlpTape:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cache_holds_gelu_input_and_tanh_only(self, rng, dtype):
+        # of the rows x mlp_dim arrays, the cache keeps GELU's input and its
+        # tanh term; mlp_bwd rebuilds the output from them
+        d, mlp, B, T = 8, 24, 3, 5
+        pre = "m."
+        p = {pre + "w_in": rng.normal(size=(d, mlp)).astype(dtype),
+             pre + "b_in": rng.normal(size=mlp).astype(dtype),
+             pre + "w_out": rng.normal(size=(mlp, d)).astype(dtype),
+             pre + "b_out": rng.normal(size=d).astype(dtype)}
+        _, cache = layers.mlp_fwd(rng.normal(size=(B, T, d)).astype(dtype), p, pre)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+
+        wide = [a for a in arrays(cache) if a.shape == (B * T, mlp)]
+        x, t = cache[1]
+        assert len(wide) == 2 and wide[0] is x and wide[1] is t
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (7, 3), (384, 48), (192, 160)])
+    def test_column_sums_are_sequential_row_sums(self, rng, dtype, rows, cols):
+        # bias and LayerNorm beta gradients: bitwise what .sum(axis=0) gives
+        dy = rng.normal(size=(rows, cols)).astype(dtype)
+        x = rng.normal(size=(rows, 4)).astype(dtype)
+        grads = {}
+        layers._dense_bwd(dy, x, {"w": np.ones((4, cols), dtype)}, "w", "b", grads)
+        assert grads["b"].tobytes() == dy.sum(axis=0).tobytes()
+        _, ln_cache = layers.layernorm_fwd(
+            rng.normal(size=(rows, cols)).astype(dtype),
+            np.ones(cols, dtype), np.zeros(cols, dtype))
+        dbeta = layers.layernorm_bwd(dy, ln_cache)[2]
+        assert dbeta.dtype == dtype and dbeta.tobytes() == dy.sum(axis=0).tobytes()
+
+
 class TestEmbed:
     def test_scatter_gradient(self, rng):
         V, T, d = 7, 4, 6

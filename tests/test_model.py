@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rinslab as rl
+from rinslab import layers
 from rinslab.ledger import SWEEP_SIGNATURES
 
 
@@ -11,6 +12,24 @@ def make_model(dims, text, degree=1, policy=None, dtype=np.float64):
     sig = rl.parse(text, degree=degree)
     policy = policy or rl.RecursionPolicy(r_max=rl.rins_rounds(sig) or 1)
     return rl.RecursiveModel(dims, rl.expand(sig), policy, dtype=dtype)
+
+
+def cached_mlp_fwd(xn, p, prefix):
+    """The MLP pair as it was before its backward rebuilt GELU's output:
+    the output is cached with the input and the tanh term."""
+    x2 = xn.reshape(-1, xn.shape[-1])
+    a, gcache = layers.gelu_fwd(layers._dense(x2, p, prefix + "w_in", prefix + "b_in"))
+    out = layers._dense(a, p, prefix + "w_out", prefix + "b_out")
+    return out.reshape(xn.shape[:-1] + (-1,)), (x2, gcache, a)
+
+
+def cached_mlp_bwd(dout, cache, p, prefix):
+    x2, gcache, a = cache
+    grads = {}
+    da = layers._dense_bwd(dout, a, p, prefix + "w_out", prefix + "b_out", grads)
+    dh1 = layers.gelu_bwd(da, gcache)
+    dxn = layers._dense_bwd(dh1, x2, p, prefix + "w_in", prefix + "b_in", grads)
+    return dxn.reshape(dout.shape[:-1] + (-1,)), grads
 
 
 @pytest.fixture
@@ -503,6 +522,23 @@ class TestFlatGradients:
         # the adapter rounds=1 never runs comes back as zeros, not garbage
         assert not second["adapter.1"].any() and not first["adapter.2"].any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuilt_gelu_output_gives_the_cached_pair_bits(
+            self, tiny_dims, toks, monkeypatch, dtype):
+        import rinslab.model as model_mod
+
+        t, u = toks
+        m = make_model(tiny_dims, "A^3B", dtype=dtype, policy=rl.RecursionPolicy(
+            r_max=3, kv_share=True, adapters=True))
+        p = {k: v.astype(dtype) for k, v in m.init_params(4).items()}
+        got = [m.loss_and_grads(p, t, u, rounds=r)[:2] for r in (1, 2, 3)]
+        monkeypatch.setattr(model_mod, "mlp_fwd", cached_mlp_fwd)
+        monkeypatch.setattr(model_mod, "mlp_bwd", cached_mlp_bwd)
+        for r, (loss, grads) in zip((1, 2, 3), got):
+            want_loss, want, _ = m.loss_and_grads(p, t, u, rounds=r)
+            assert loss == want_loss
+            assert grads.flat.tobytes() == want.flat.tobytes()
+
     def test_extra_param_names_get_zero_gradients(self, tiny_dims, toks):
         t, u = toks
         m = make_model(tiny_dims, "AB")
@@ -806,6 +842,19 @@ class TestMicroBatches:
         total = sum(v.nbytes for v in p.values())
         assert two_lanes <= total + 2 * one_group + 2**18, [
             x / 2**20 for x in (two_lanes, total, one_group)]
+
+    def test_tape_without_gelu_output_peaks_lower(self, monkeypatch):
+        # The reference pair keeps GELU's output on the tape. Desk AB at two
+        # sequences runs four layer calls, each (192, 640) float32 outputs;
+        # mlp_bwd rebuilds one at a time, so at least three are saved.
+        import rinslab.model as model_mod
+
+        _, (rebuilt,) = self._step_peaks(monkeypatch, 1, (2,))
+        monkeypatch.setattr(model_mod, "mlp_fwd", cached_mlp_fwd)
+        monkeypatch.setattr(model_mod, "mlp_bwd", cached_mlp_bwd)
+        _, (cached,) = self._step_peaks(monkeypatch, 1, (2,))
+        assert rebuilt <= cached - 3 * 192 * 640 * 4, [
+            x / 2**20 for x in (rebuilt, cached)]
 
 
 class TestTwoLanes:

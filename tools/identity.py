@@ -201,6 +201,22 @@ def battery(out: Path, demos: Path):
             np.savez(out / f"pack-{i:02d}.npz",
                      *[a for b in got for a in (b.tokens, b.targets, b.boundaries)])
 
+    def grammar_docs():
+        # the house grammar at two seeds, and one that mostly runs into its
+        # depth cap; each with the generator's next draw, so a sampler that
+        # draws more or fewer numbers shows
+        capped = rl.GrammarSpec.from_productions(
+            {"S": [(("S", "S"), 0.6), (("T", 5), 0.3), ((), 0.1)],
+             "T": [((1, "T"), 0.5), ((2, 3), 0.5)]},
+            start="S", depth_cap=5, terminal_vocab=8, seed=2)
+        for tag, spec, n in (("seed0", rl.default_grammar(seed=0), 3000),
+                             ("seed5", rl.default_grammar(seed=5), 3000),
+                             ("capped", capped, 2000)):
+            rng = np.random.default_rng(spec.seed)
+            docs = rl.generate_corpus(spec, n, rng=rng)
+            (out / f"corpus-{tag}.json").write_text(
+                json.dumps({"docs": docs, "next": rng.random()}), encoding="utf-8")
+
     def demo_output():
         env = dict(os.environ)
         for name in DEMOS:
@@ -212,7 +228,8 @@ def battery(out: Path, demos: Path):
     warnings.simplefilter("ignore")  # tiny streams pack to nothing, and say so
     for name, fn in (("corpora", corpora), ("runs", runs), ("fits", fits),
                      ("sweep", sweep), ("evals", evals), ("arrays", arrays),
-                     ("packs", packs), ("demos", demo_output)):
+                     ("packs", packs), ("generate_corpus", grammar_docs),
+                     ("demos", demo_output)):
         section(name, fn)
 
 
