@@ -53,11 +53,14 @@ def _dtype_tag(arr: np.ndarray) -> str:
 
 @contextmanager
 def _atomic_open(path, mode: str):
-    """Open a temporary file beside path for writing. On a clean exit the
+    """Open a temporary file beside path for writing; text is UTF-8 and
+    written as given, with no newline translation. On a clean exit the
     file is flushed, synced to disk, then renamed over path, so a crash
     leaves either the old file or the new one, never part of one."""
     tmp = str(path) + ".tmp"
-    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+    text = "b" not in mode
+    with open(tmp, mode, encoding="utf-8" if text else None,
+              newline="" if text else None) as f:
         yield f
         f.flush()
         os.fsync(f.fileno())
@@ -142,6 +145,12 @@ def _saved_step(path) -> int:
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read a checkpoint, each array straight from the file into a buffer of
+    its own, and check its crc32 on those bytes; refuse a file cut short or
+    an array that fails its checksum."""
+    params: dict[str, np.ndarray] = {}
+    adam_m: dict[str, np.ndarray] = {}
+    adam_v: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         hlen, header = _read_header(f, path, size)
@@ -149,31 +158,23 @@ def load_checkpoint(path) -> CheckpointData:
             last = header["arrays"][-1]
             nbytes = np.dtype(last["dtype"]).itemsize * int(np.prod(last["shape"]))
             _check_size(path, 16 + hlen + last["offset"] + nbytes, size)
-        payload = f.read()
-    view = memoryview(payload)
-
-    params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dt = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        start = entry["offset"]
-        name = entry["name"]
-        raw = view[start:start + count * dt.itemsize]
-        if "crc32" not in entry:
-            raise ValueError(f"checkpoint {path} predates per-array checksums; "
-                             f"recreate it with `rinslab run --force`")
-        if zlib.crc32(raw) != entry["crc32"]:
-            raise ValueError(f"corrupt checkpoint {path}: array {name!r} fails its checksum")
-        arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = arr
-        else:
-            params[name] = arr
+        for entry in header["arrays"]:
+            name = entry["name"]
+            if "crc32" not in entry:
+                raise ValueError(f"checkpoint {path} predates per-array checksums; "
+                                 f"recreate it with `rinslab run --force`")
+            arr = np.empty(tuple(entry["shape"]), dtype=np.dtype(entry["dtype"]))
+            raw = memoryview(arr).cast("B")
+            f.seek(16 + hlen + entry["offset"])
+            # a header whose offsets run past the file's end reads short
+            if f.readinto(raw) != arr.nbytes or zlib.crc32(raw) != entry["crc32"]:
+                raise ValueError(f"corrupt checkpoint {path}: array {name!r} fails its checksum")
+            if name.startswith("adam.m."):
+                adam_m[name[len("adam.m."):]] = arr
+            elif name.startswith("adam.v."):
+                adam_v[name[len("adam.v."):]] = arr
+            else:
+                params[name] = arr
 
     return CheckpointData(
         dims=ModelDims(**header["dims"]),

@@ -13,6 +13,9 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
     <out_dir>/trace.jsonl      same trace with a header record
     <out_dir>/checkpoint.rlab  params, optimizer state and trace so far, for resume
 
+The trace files are also written, atomically, with each checkpoint before
+the final one, so a killed run keeps its curve up to its last checkpoint.
+
 Corpus references are either a path to a .tokens file or "grammar:N[:seed]"
 for N tokens of the house grammar; a relative path is read against the
 directory of the spec that names it. Train references default to seed 0 and
@@ -429,6 +432,12 @@ def _write_json_atomic(path: Path, obj: dict):
         f.write(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _write_trace_atomic(run_dir: Path, trace: LossTrace):
+    for name, write in (("trace.csv", trace.to_csv), ("trace.jsonl", trace.to_jsonl)):
+        with _atomic_open(run_dir / name, "w") as f:
+            write(f)
+
+
 def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) -> dict:
     """Execute one run spec. Idempotent: a completed run with the same hash
     is skipped unless force. An existing checkpoint with matching hash is
@@ -521,7 +530,10 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         # the last eval stamp instead of restarting
         checkpoint_path=str(ckpt_path),
         resume_from=resume_from,
+        on_checkpoint=lambda so_far: _write_trace_atomic(run_dir, so_far),
     )
+    # the whole trace, which after a divergence holds one row past the final
+    # checkpoint
     trace.to_csv(run_dir / "trace.csv")
     trace.to_jsonl(run_dir / "trace.jsonl")
 

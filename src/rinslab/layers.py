@@ -12,6 +12,12 @@ forward and backward, runs in _dense or _dense_bwd as one GEMM on the
 (B*T, d) view, and caches hold those 2-D arrays (LayerNorm's xhat and inv
 included).
 
+A cache holds only what its primitive computed, never the input it was
+handed: attention_bwd and mlp_bwd take their normalized input from the
+caller, as _dense_bwd takes x. The executor does not keep LayerNorm
+outputs for them; it rebuilds each from LayerNorm's cache with
+_layernorm_out, the forward's own operations, so the bits are the same.
+
 Primitives build their results in buffers they allocate and then update in
 place (GELU, LayerNorm, the softmax on the scores buffer). They never write
 into an argument or into a cache they are handed, so a backward can run
@@ -85,13 +91,22 @@ def layernorm_fwd(x, gamma, beta, eps=1e-5):
     var = np.einsum("ij,ij->i", xhat, xhat) / d
     inv = (1.0 / np.sqrt(var + eps))[:, None]
     xhat *= inv
+    cache = (xhat, inv, gamma, beta)
+    return _layernorm_out(cache).reshape(x.shape), cache
+
+
+def _layernorm_out(cache):
+    """LayerNorm's (rows, d) output from its cache: xhat * gamma + beta, in
+    one buffer. layernorm_fwd builds its output here too, so an output
+    rebuilt in a backward has the forward's bits."""
+    xhat, _, gamma, beta = cache
     y = xhat * gamma
     y += beta
-    return y.reshape(x.shape), (xhat, inv, gamma)
+    return y
 
 
 def layernorm_bwd(dy, cache):
-    xhat, inv, gamma = cache
+    xhat, inv, gamma, _ = cache
     dy2 = dy.reshape(xhat.shape)
     d = xhat.shape[1]
     dgamma = np.einsum("ij,ij->j", dy2, xhat)
@@ -178,7 +193,6 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     every row. It is forward-only: attention_bwd does not take its cache.
     """
     B, T, d = xn.shape
-    x2 = xn.reshape(-1, d)
     blocked = _above_diagonal(T)
     if mask is not None:
         blocked = blocked | ~mask
@@ -211,12 +225,13 @@ def attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, *, rows=None):
     ctx = np.empty_like(q)
     np.matmul(probs, vh, out=_heads(ctx, B, Tq, n_heads))
     out = _dense(ctx, p, prefix + "out", prefix + "out_bias")
-    cache = (x2, qh, kh, vh, probs, ctx, kv_in is not None, scale)
+    cache = (qh, kh, vh, probs, ctx, kv_in is not None, scale)
     return out.reshape(B, Tq, -1), (k, v), cache
 
 
-def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
-    """Backward for attention_fwd.
+def attention_bwd(dout, xn, cache, p, prefix, dk_extra=None, dv_extra=None):
+    """Backward for attention_fwd, given the normalized input xn that the
+    forward was given, as (B, T, d) or (B*T, d).
 
     Returns (dxn, grads, dk, dv). dk_extra/dv_extra, the k/v gradients that
     later calls consuming this call's k/v accumulated, are added to this
@@ -225,9 +240,9 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     k/v projection entries. When the forward produced its own k/v, the sums
     go through the projections and dk and dv come back as None.
     """
-    x2, qh, kh, vh, probs, ctx, consumed_cache, scale = cache
+    qh, kh, vh, probs, ctx, consumed_cache, scale = cache
     B, n_heads, T, _ = qh.shape
-    d = x2.shape[1]
+    d = ctx.shape[1]
     grads: dict[str, np.ndarray] = {}
     dctx = _dense_bwd(dout, ctx, p, prefix + "out", prefix + "out_bias", grads)
     dctx = _heads(dctx, B, T, n_heads)
@@ -245,7 +260,7 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     dk = np.empty_like(ctx)
     np.matmul(dscores.transpose(0, 1, 3, 2), qh, out=_heads(dk, B, T, n_heads))
 
-    dxn = _dense_bwd(dq, x2, p, prefix + "q", prefix + "q_bias", grads)
+    dxn = _dense_bwd(dq, xn, p, prefix + "q", prefix + "q_bias", grads)
 
     if dk_extra is not None:
         dk += dk_extra.reshape(-1, d)
@@ -254,32 +269,34 @@ def attention_bwd(dout, cache, p, prefix, dk_extra=None, dv_extra=None):
     if consumed_cache:
         return dxn.reshape(B, T, d), grads, dk.reshape(B, T, d), dv.reshape(B, T, d)
 
-    dxn += _dense_bwd(dk, x2, p, prefix + "k", prefix + "k_bias", grads)
-    dxn += _dense_bwd(dv, x2, p, prefix + "v", prefix + "v_bias", grads)
+    dxn += _dense_bwd(dk, xn, p, prefix + "k", prefix + "k_bias", grads)
+    dxn += _dense_bwd(dv, xn, p, prefix + "v", prefix + "v_bias", grads)
     return dxn.reshape(B, T, d), grads, None, None
 
 
 def mlp_fwd(xn, p, prefix):
-    # The cache holds GELU's input and tanh term; mlp_bwd rebuilds GELU's
+    # The cache is GELU's input and tanh term; mlp_bwd rebuilds GELU's
     # output from them rather than keep a third rows x mlp_dim array on a tape.
-    x2 = xn.reshape(-1, xn.shape[-1])
-    a, gcache = gelu_fwd(_dense(x2, p, prefix + "w_in", prefix + "b_in"))
+    h1 = _dense(xn.reshape(-1, xn.shape[-1]), p, prefix + "w_in", prefix + "b_in")
+    a, cache = gelu_fwd(h1)
     out = _dense(a, p, prefix + "w_out", prefix + "b_out")
-    return out.reshape(xn.shape[:-1] + (-1,)), (x2, gcache)
+    return out.reshape(xn.shape[:-1] + (-1,)), cache
 
 
-def mlp_bwd(dout, cache, p, prefix):
-    x2, gcache = cache
+def mlp_bwd(dout, xn, cache, p, prefix):
+    """Backward for mlp_fwd, given the normalized input xn that the forward
+    was given, as (..., d) or (rows, d). Returns (dxn, grads), dxn shaped
+    like dout."""
     # GELU's output, by gelu_fwd's own operations in its order: the same bits.
-    h1, t = gcache
+    h1, t = cache
     a = t + 1.0
     a *= h1
     a *= 0.5
     grads: dict[str, np.ndarray] = {}
     da = _dense_bwd(dout, a, p, prefix + "w_out", prefix + "b_out", grads)
     del a  # free before GELU's backward allocates its two buffers
-    dh1 = gelu_bwd(da, gcache)
-    dxn = _dense_bwd(dh1, x2, p, prefix + "w_in", prefix + "b_in", grads)
+    dh1 = gelu_bwd(da, cache)
+    dxn = _dense_bwd(dh1, xn, p, prefix + "w_in", prefix + "b_in", grads)
     return dxn.reshape(dout.shape[:-1] + (-1,)), grads
 
 

@@ -53,6 +53,7 @@ from . import layers as _layers
 from .layers import (
     _dense,
     _dense_bwd,
+    _layernorm_out,
     attention_bwd,
     attention_fwd,
     embed_bwd,
@@ -572,7 +573,7 @@ class RecursiveModel:
         )
         logits = _dense(xnf, params, "head.w", "head.b")
         if tape is not None:
-            tape["final"] = (c_final, xnf)
+            tape["final"] = c_final
         return logits
 
     def _kv_bytes(self, exec_seq: list[int], T: int) -> int:
@@ -637,49 +638,68 @@ class RecursiveModel:
         """Add the tape's gradients into grads, a _Flat over a fresh buffer
         that holds no name yet. Each name's first contribution is copied into
         its view and later ones are added to it; the views of names the tape
-        never reaches are filled with zeros at the end."""
+        never reaches are filled with zeros at the end.
+
+        The tape is consumed: each layer's record and each call's entry
+        leave it once their backward has run, and it is empty on return.
+        LayerNorm outputs are rebuilt from their caches (_layernorm_out)
+        just before the backward that reads them, and dropped after it."""
         add = grads.add
-        c_final, xnf = tape["final"]
+        c_final = tape.pop("final")
         head = {}
+        xnf = _layernorm_out(c_final).reshape(dlogits.shape[:-1] + (-1,))
         dxnf = _dense_bwd(dlogits, xnf, params, "head.w", "head.b", head)
+        del xnf
         for name, g in head.items():
             add(name, g)
         dh, dgam, dbet = layernorm_bwd(dxnf, c_final)
         add("final_norm.gamma", dgam)
         add("final_norm.beta", dbet)
+        del dxnf, c_final
 
         # (leaf, layer) -> (dk, dv) summed over the calls that consumed that
         # leaf's first-call keys and values, awaiting the call that made them;
         # (None, None) once that call has folded them in
         pending_kv: dict[tuple[int, int], tuple] = {}
-        for call in reversed(tape["calls"]):
-            leaf = call["leaf"]
-            for l in range(len(call["layers"]) - 1, -1, -1):
-                prefix, c_ln1, c_attn, c_ln2, c_mlp = call["layers"][l]
-                dxn2, g = mlp_bwd(dh, c_mlp, params, prefix + "mlp.")
+        calls = tape.pop("calls")
+        while calls:
+            call = calls.pop()
+            leaf, records = call["leaf"], call["layers"]
+            while records:
+                l = len(records) - 1
+                prefix, c_ln1, c_attn, c_ln2, c_mlp = records.pop()
+                dxn, g = mlp_bwd(dh, _layernorm_out(c_ln2), c_mlp, params,
+                                 prefix + "mlp.")
+                del c_mlp
                 for name, gi in g.items():
                     add(name, gi)
-                dres, dgam, dbet = layernorm_bwd(dxn2, c_ln2)
+                dres, dgam, dbet = layernorm_bwd(dxn, c_ln2)
+                del dxn, c_ln2, g
                 add(prefix + "ln2.gamma", dgam)
                 add(prefix + "ln2.beta", dbet)
-                dh = dh + dres
+                dres += dh  # dh + dres, the same IEEE sum in dres's buffer
+                dh = dres
 
                 dk, dv = pending_kv.get((leaf, l), (None, None))
-                dxn1, g, dk, dv = attention_bwd(dh, c_attn, params, prefix + "attn.", dk, dv)
+                dxn, g, dk, dv = attention_bwd(dh, _layernorm_out(c_ln1), c_attn,
+                                               params, prefix + "attn.", dk, dv)
+                del c_attn
                 pending_kv[(leaf, l)] = (dk, dv)
                 for name, gi in g.items():
                     add(name, gi)
-                dres, dgam, dbet = layernorm_bwd(dxn1, c_ln1)
+                dres, dgam, dbet = layernorm_bwd(dxn, c_ln1)
+                del dxn, c_ln1, g, dk, dv
                 add(prefix + "ln1.gamma", dgam)
                 add(prefix + "ln1.beta", dbet)
-                dh = dh + dres
+                dres += dh
+                dh = dres
             if call["adapter"] is not None:
                 a_name, a_in = call["adapter"]
                 g = {}
                 dh = _dense_bwd(dh, a_in, params, a_name, None, g)
                 add(a_name, g[a_name])
 
-        dtok, dpos_rows, T = embed_bwd(dh, tape["emb"])
+        dtok, dpos_rows, T = embed_bwd(dh, tape.pop("emb"))
         add("embed.token", dtok)
         dpos = grads.view("embed.pos")
         dpos[:T] = dpos_rows

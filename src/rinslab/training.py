@@ -22,8 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,9 +75,10 @@ class LossTrace:
 
     def to_csv(self, path):
         """One row per record: the scalar TraceRecord fields, then one
-        eval_<name> column per eval corpus (empty where it did not run)."""
+        eval_<name> column per eval corpus (empty where it did not run).
+        path may also be a text file open for writing with newline=""."""
         scalars = [f.name for f in fields(TraceRecord) if f.name != "eval_losses"]
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with _writing(path, newline="") as f:
             w = csv.writer(f)  # writes floats by repr, so they round-trip
             w.writerow(scalars + [f"eval_{n}" for n in self.eval_names])
             for r in self.records:
@@ -85,9 +87,9 @@ class LossTrace:
 
     def to_jsonl(self, path):
         """A {"header": ...} line with every field but records, then one
-        line per TraceRecord."""
+        line per TraceRecord. path may also be a text file open for writing."""
         header = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
-        with open(path, "w", encoding="utf-8") as f:
+        with _writing(path) as f:
             f.write(json.dumps({"header": header}) + "\n")
             for r in self.records:
                 f.write(json.dumps(asdict(r)) + "\n")
@@ -98,6 +100,14 @@ class LossTrace:
             header = json.loads(f.readline())["header"]
             records = [TraceRecord(**json.loads(line)) for line in f if line.strip()]
         return cls(records=records, **header)
+
+
+def _writing(path, newline=None):
+    """path itself when it is a file open for writing, left open on exit;
+    else path opened for writing UTF-8 text."""
+    if hasattr(path, "write"):
+        return nullcontext(path)
+    return open(path, "w", encoding="utf-8", newline=newline)
 
 
 def _header(signature: str, dims, policy, dtype) -> dict:
@@ -119,6 +129,7 @@ def train(
     eval_batches: Optional[dict[str, Sequence[PackedBatch]]] = None,
     checkpoint_path=None,
     resume_from=None,
+    on_checkpoint: Optional[Callable[[LossTrace], None]] = None,
 ) -> tuple[LossTrace, AdamState]:
     """Run cfg.total_steps optimizer steps (or fewer on abort/resume).
 
@@ -133,6 +144,9 @@ def train(
     one past cfg.total_steps.
     After an abort the final checkpoint is the state after the last
     completed step, since the aborted step updated nothing.
+    on_checkpoint, when given, is called with the trace right after each
+    checkpoint written before the final one, when the trace's records are
+    exactly the checkpoint's; cmd_run writes the trace files there.
 
     When params hold exactly the model's parameter names and shapes in one
     dtype, their values are copied into one flat buffer and each entry of
@@ -279,6 +293,8 @@ def train(
 
         if step % cfg.eval_interval == 0 and step < cfg.total_steps:
             save(step)  # the last step is saved below
+            if checkpoint_path is not None and on_checkpoint is not None:
+                on_checkpoint(trace)
 
     # An aborted step updated nothing, so the final checkpoint describes
     # the step before it.

@@ -4,6 +4,7 @@ error, and atomic writes reach the disk before they are renamed into place."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 import rinslab as rl
@@ -16,6 +17,30 @@ def _save_tiny(path):
     )
     model = rl.RecursiveModel(dims, rl.expand(rl.parse("AB")), rl.RecursionPolicy())
     rl.save_checkpoint(path, dims, "AB@d1", model.policy, model.init_params(0))
+
+
+def test_loaded_arrays_own_writeable_buffers(tmp_path):
+    path = tmp_path / "model.rlab"
+    dims = rl.ModelDims(
+        d_model=8, n_heads=2, mlp_dim=16, vocab=17, seq_len=8, total_layers=2
+    )
+    model = rl.RecursiveModel(dims, rl.expand(rl.parse("AB")), rl.RecursionPolicy())
+    params = model.init_params(0)
+    moments = {k: v * 0.5 for k, v in params.items()}
+    rl.save_checkpoint(path, dims, "AB@d1", model.policy, params, step=3,
+                       adam_m=moments, adam_v=params)
+    ckpt = rl.load_checkpoint(path)
+    for saved, loaded in ((params, ckpt.params), (moments, ckpt.adam_m),
+                          (params, ckpt.adam_v)):
+        assert loaded.keys() == saved.keys()
+        for name, arr in loaded.items():
+            flags = arr.flags
+            assert flags.c_contiguous and flags.writeable and flags.owndata, name
+            assert arr.dtype == saved[name].dtype and arr.shape == saved[name].shape
+            assert arr.tobytes() == saved[name].tobytes(), name
+    arrays = [a for d in (ckpt.params, ckpt.adam_m, ckpt.adam_v) for a in d.values()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in arrays[i + 1:])
 
 
 @pytest.mark.parametrize("cut", ["payload", "header"])

@@ -435,6 +435,43 @@ class TestCmdRun:
         for k in want:
             assert np.array_equal(want[k], got[k]), k
 
+    def test_killed_run_keeps_its_curve_to_the_checkpoint(self, tmp_path, monkeypatch):
+        # killed during step 4, after the step-3 checkpoint: the trace files
+        # hold that checkpoint's rows, and the rerun ends with the
+        # uninterrupted run's files
+        text = make_ini(total_steps=9, eval_line="eval = held=grammar:300")
+        (tmp_path / "ref.ini").write_text(text)
+        rl.cmd_run(tmp_path / "ref.ini", out_root=str(tmp_path / "ref"))
+        real_step = rl.RecursiveModel.loss_and_grads
+        steps = []
+
+        def killed_at_step_4(self, *args, **kw):
+            steps.append(1)
+            if len(steps) == 4:
+                raise RuntimeError("killed")
+            return real_step(self, *args, **kw)
+
+        monkeypatch.setattr(rl.RecursiveModel, "loss_and_grads", killed_at_step_4)
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(text)
+        with pytest.raises(RuntimeError, match="killed"):
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        monkeypatch.setattr(rl.RecursiveModel, "loss_and_grads", real_step)
+
+        run_dir, ref_dir = tmp_path / "runs" / "demo", tmp_path / "ref" / "demo"
+        rows = rl.load_checkpoint(run_dir / "checkpoint.rlab").extra["trace"]
+        assert [r["step"] for r in rows] == [1, 2, 3] and rows[-1]["eval_losses"]
+        trace = rl.LossTrace.from_jsonl(run_dir / "trace.jsonl")
+        assert [dataclasses.asdict(r) for r in trace.records] == rows
+        assert not trace.aborted and trace.eval_names == ["held"]
+        trace.to_csv(tmp_path / "rows.csv")
+        assert (run_dir / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert not list(run_dir.glob("*.tmp"))
+
+        assert rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))["status"] == "done"
+        for name in ("trace.jsonl", "trace.csv", "checkpoint.rlab"):
+            assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+
     def test_rerun_after_final_checkpoint_completes(self, tmp_path, monkeypatch):
         # killed after the last step's checkpoint, before the trace files and
         # the final manifest were written: the rerun trains no step, and
@@ -524,7 +561,12 @@ class TestCmdRun:
             time.sleep(0.005)
         proc.send_signal(signal.SIGKILL)
         assert proc.wait(timeout=60) == -signal.SIGKILL  # killed, not finished
-        assert not (tmp_path / "runs" / "demo" / "trace.jsonl").exists()
+        # the trace files follow each checkpoint, so a kill between the two
+        # leaves them at most one checkpoint behind
+        killed = tmp_path / "runs" / "demo" / "trace.jsonl"
+        if killed.exists():
+            rows = [dataclasses.asdict(r) for r in rl.LossTrace.from_jsonl(killed).records]
+            assert rows == rl.load_checkpoint(ckpt).extra["trace"][:len(rows)]
         assert run_cli(tmp_path / "runs").wait(timeout=300) == 0
 
         run_dir, ref_dir = tmp_path / "runs" / "demo", tmp_path / "ref" / "demo"

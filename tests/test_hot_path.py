@@ -254,8 +254,8 @@ def test_attention_matches_reference(rng, dtype, with_mask):
     out1, kv, c1 = unchanged(layers.attention_fwd, x1, p, pre, H, None, mask)
     out2, kv2, c2 = unchanged(layers.attention_fwd, x2, p, pre, H, kv, mask)
     assert kv2[0] is kv[0] and kv2[1] is kv[1]
-    dx2, g2, dk, dv = unchanged(layers.attention_bwd, d2, c2, p, pre)
-    dx1, g1, none_k, none_v = unchanged(layers.attention_bwd, d1, c1, p, pre, dk, dv)
+    dx2, g2, dk, dv = unchanged(layers.attention_bwd, d2, x2, c2, p, pre)
+    dx1, g1, none_k, none_v = unchanged(layers.attention_bwd, d1, x1, c1, p, pre, dk, dv)
     assert none_k is None and none_v is None
 
     r1 = ref_attention(x1, p, pre, d1, mask=mask)
@@ -278,8 +278,8 @@ def test_attention_matches_reference(rng, dtype, with_mask):
             assert_close(got[name], want[name], dtype,
                          k_bias_scale if name.endswith("k_bias") else 0.0)
 
-    bitwise_equal((dx2, g2, dk, dv), layers.attention_bwd(d2, c2, p, pre))
-    bitwise_equal((dx1, g1), layers.attention_bwd(d1, c1, p, pre, dk, dv)[:2])
+    bitwise_equal((dx2, g2, dk, dv), layers.attention_bwd(d2, x2, c2, p, pre))
+    bitwise_equal((dx1, g1), layers.attention_bwd(d1, x1, c1, p, pre, dk, dv)[:2])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -292,7 +292,7 @@ def test_mlp_matches_reference(rng, dtype):
     xn = rng.normal(size=(B, T, D)).astype(dtype)
     dout = rng.normal(size=(B, T, D)).astype(dtype)
     out, cache = unchanged(layers.mlp_fwd, xn, p, pre)
-    dxn, g = unchanged(layers.mlp_bwd, dout, cache, p, pre)
+    dxn, g = unchanged(layers.mlp_bwd, dout, xn, cache, p, pre)
 
     h1 = xn @ p[pre + "w_in"] + p[pre + "b_in"]
     a, gc = ref_gelu_fwd(h1)
@@ -303,7 +303,7 @@ def test_mlp_matches_reference(rng, dtype):
     assert_close(g[pre + "b_out"], rows(dout).sum(axis=0), dtype)
     assert_close(g[pre + "w_in"], rows(xn).T @ rows(dh1), dtype)
     assert_close(g[pre + "b_in"], rows(dh1).sum(axis=0), dtype)
-    bitwise_equal((dxn, g), layers.mlp_bwd(dout, cache, p, pre))
+    bitwise_equal((dxn, g), layers.mlp_bwd(dout, xn, cache, p, pre))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

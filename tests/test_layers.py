@@ -128,7 +128,7 @@ class TestAttention:
                 plain = layers.attention_fwd(x, p, "blk.attn.", h, **sel)
                 masked = layers.attention_fwd(x, p, "blk.attn.", h, None, mask, **sel)
                 assert plain[0].tobytes() == masked[0].tobytes()
-                assert plain[2][4].tobytes() == masked[2][4].tobytes()  # probs
+                assert plain[2][3].tobytes() == masked[2][3].tobytes()  # probs
 
     def test_cached_causal_masks_reject_writes(self):
         for T in (1, 5, 48):
@@ -149,7 +149,7 @@ class TestAttention:
             return float((out * proj).sum())
 
         out, _, cache = layers.attention_fwd(x, p, "blk.attn.", h)
-        dx, grads, dk, dv = layers.attention_bwd(proj, cache, p, "blk.attn.")
+        dx, grads, dk, dv = layers.attention_bwd(proj, x, cache, p, "blk.attn.")
         assert rel_err(dx, fd_grad(loss, x)) < 1e-6
         for name in p:
             assert rel_err(grads[name], fd_grad(loss, p[name])) < 1e-6, name
@@ -209,9 +209,9 @@ class TestAttention:
 
         _, kv, cache1 = layers.attention_fwd(x1, p, "blk.attn.", h)
         _, _, cache2 = layers.attention_fwd(x2, p, "blk.attn.", h, kv_in=kv)
-        dx2, g2, dk, dv = layers.attention_bwd(proj, cache2, p, "blk.attn.")
+        dx2, g2, dk, dv = layers.attention_bwd(proj, x2, cache2, p, "blk.attn.")
         dx1, g1, _, _ = layers.attention_bwd(
-            np.zeros_like(proj), cache1, p, "blk.attn.", dk_extra=dk, dv_extra=dv
+            np.zeros_like(proj), x1, cache1, p, "blk.attn.", dk_extra=dk, dv_extra=dv
         )
         assert rel_err(dx2, fd_grad(loss, x2)) < 1e-6
         assert rel_err(dx1, fd_grad(loss, x1)) < 1e-6
@@ -235,6 +235,15 @@ class TestAttention:
         assert np.allclose(out_masked[0, 3:], out_alone[0], atol=1e-10)
 
 
+def _arrays(obj):
+    """Every array in a nest of tuples and lists, such as a cache."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
 class TestMlpTape:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cache_holds_gelu_input_and_tanh_only(self, rng, dtype):
@@ -247,17 +256,29 @@ class TestMlpTape:
              pre + "w_out": rng.normal(size=(mlp, d)).astype(dtype),
              pre + "b_out": rng.normal(size=d).astype(dtype)}
         _, cache = layers.mlp_fwd(rng.normal(size=(B, T, d)).astype(dtype), p, pre)
-
-        def arrays(obj):
-            if isinstance(obj, np.ndarray):
-                yield obj
-            elif isinstance(obj, (tuple, list)):
-                for item in obj:
-                    yield from arrays(item)
-
-        wide = [a for a in arrays(cache) if a.shape == (B * T, mlp)]
-        x, t = cache[1]
+        wide = [a for a in _arrays(cache) if a.shape == (B * T, mlp)]
+        x, t = cache
         assert len(wide) == 2 and wide[0] is x and wide[1] is t
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_caches_hold_no_normalized_input(self, rng, dtype):
+        # attention_bwd and mlp_bwd take the normalized input from the
+        # caller, so neither forward keeps an array with its values
+        d, mlp, B, T, h = 8, 24, 3, 5, 2
+        p = {"m.w_in": rng.normal(size=(d, mlp)), "m.b_in": rng.normal(size=mlp),
+             "m.w_out": rng.normal(size=(mlp, d)), "m.b_out": rng.normal(size=d)}
+        for name in ("q", "k", "v", "out"):
+            p[f"a.{name}"] = rng.normal(size=(d, d))
+            p[f"a.{name}_bias"] = rng.normal(size=d)
+        p = {k: v.astype(dtype) for k, v in p.items()}
+        x1, x2 = (rng.normal(size=(B, T, d)).astype(dtype) for _ in range(2))
+        _, kv, producer = layers.attention_fwd(x1, p, "a.", h)
+        _, _, consumer = layers.attention_fwd(x2, p, "a.", h, kv_in=kv)
+        for xn, cache in ((x1, producer), (x2, consumer),
+                          (x1, layers.mlp_fwd(x1, p, "m.")[1])):
+            held = [a for a in _arrays(cache)
+                    if a.size == xn.size and np.array_equal(a.ravel(), xn.ravel())]
+            assert not held
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows, cols", [(1, 2), (7, 3), (384, 48), (192, 160)])

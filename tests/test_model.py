@@ -16,20 +16,54 @@ def make_model(dims, text, degree=1, policy=None, dtype=np.float64):
 
 def cached_mlp_fwd(xn, p, prefix):
     """The MLP pair as it was before its backward rebuilt GELU's output:
-    the output is cached with the input and the tanh term."""
+    the output is cached with GELU's input and tanh term."""
     x2 = xn.reshape(-1, xn.shape[-1])
     a, gcache = layers.gelu_fwd(layers._dense(x2, p, prefix + "w_in", prefix + "b_in"))
     out = layers._dense(a, p, prefix + "w_out", prefix + "b_out")
-    return out.reshape(xn.shape[:-1] + (-1,)), (x2, gcache, a)
+    return out.reshape(xn.shape[:-1] + (-1,)), (gcache, a)
 
 
-def cached_mlp_bwd(dout, cache, p, prefix):
-    x2, gcache, a = cache
+def cached_mlp_bwd(dout, xn, cache, p, prefix):
+    gcache, a = cache
     grads = {}
     da = layers._dense_bwd(dout, a, p, prefix + "w_out", prefix + "b_out", grads)
     dh1 = layers.gelu_bwd(da, gcache)
-    dxn = layers._dense_bwd(dh1, x2, p, prefix + "w_in", prefix + "b_in", grads)
+    dxn = layers._dense_bwd(dh1, xn, p, prefix + "w_in", prefix + "b_in", grads)
     return dxn.reshape(dout.shape[:-1] + (-1,)), grads
+
+
+# The attention and MLP pairs as they were before the executor rebuilt
+# LayerNorm outputs: each cache also keeps the normalized input, and the
+# backward reads that copy, ignoring the rebuilt one it is handed.
+
+
+def kept_input_attention_fwd(xn, p, prefix, n_heads, kv_in=None, mask=None, **rows):
+    out, kv, cache = layers.attention_fwd(xn, p, prefix, n_heads, kv_in, mask, **rows)
+    return out, kv, (xn.reshape(-1, xn.shape[-1]), cache)
+
+
+def kept_input_attention_bwd(dout, xn, cache, p, prefix, dk_extra=None, dv_extra=None):
+    kept, cache = cache
+    return layers.attention_bwd(dout, kept, cache, p, prefix, dk_extra, dv_extra)
+
+
+def kept_input_mlp_fwd(xn, p, prefix):
+    out, cache = layers.mlp_fwd(xn, p, prefix)
+    return out, (xn.reshape(-1, xn.shape[-1]), cache)
+
+
+def kept_input_mlp_bwd(dout, xn, cache, p, prefix):
+    kept, cache = cache
+    return layers.mlp_bwd(dout, kept, cache, p, prefix)
+
+
+def keep_inputs(monkeypatch):
+    import rinslab.model as model_mod
+
+    monkeypatch.setattr(model_mod, "attention_fwd", kept_input_attention_fwd)
+    monkeypatch.setattr(model_mod, "attention_bwd", kept_input_attention_bwd)
+    monkeypatch.setattr(model_mod, "mlp_fwd", kept_input_mlp_fwd)
+    monkeypatch.setattr(model_mod, "mlp_bwd", kept_input_mlp_bwd)
 
 
 @pytest.fixture
@@ -539,6 +573,36 @@ class TestFlatGradients:
             assert loss == want_loss
             assert grads.flat.tobytes() == want.flat.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuilt_norm_outputs_give_the_kept_input_pair_bits(
+            self, tiny_dims, toks, monkeypatch, dtype):
+        t, u = toks
+        m = make_model(tiny_dims, "A^3B", dtype=dtype, policy=rl.RecursionPolicy(
+            r_max=3, kv_share=True, adapters=True))
+        p = {k: v.astype(dtype) for k, v in m.init_params(4).items()}
+        got = [m.loss_and_grads(p, t, u, rounds=r)[:2] for r in (1, 2, 3)]
+        keep_inputs(monkeypatch)
+        for r, (loss, grads) in zip((1, 2, 3), got):
+            want_loss, want, _ = m.loss_and_grads(p, t, u, rounds=r)
+            assert loss == want_loss
+            assert grads.flat.tobytes() == want.flat.tobytes()
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_backward_consumes_the_tape(self, tiny_dims, toks, rounds):
+        from rinslab.optim import _Flat
+
+        t, u = toks
+        m = make_model(tiny_dims, "A^3B", policy=rl.RecursionPolicy(
+            r_max=3, kv_share=True, adapters=True))
+        p = m.init_params(0)
+        (logits,), tape, _ = m._run(p, t, [rounds], None, need_tape=True)
+        calls = list(tape["calls"])
+        assert len(calls) == rounds + 1 and all(c["layers"] for c in calls)
+        dlogits = layers.softmax_xent_bwd(layers.softmax_xent_fwd(logits, u)[1])
+        m._backward(p, tape, dlogits, _Flat(np.empty(m._layout.size), m._layout))
+        assert tape == {}
+        assert not [c["layers"] for c in calls if c["layers"]]
+
     def test_extra_param_names_get_zero_gradients(self, tiny_dims, toks):
         t, u = toks
         m = make_model(tiny_dims, "AB")
@@ -855,6 +919,16 @@ class TestMicroBatches:
         _, (cached,) = self._step_peaks(monkeypatch, 1, (2,))
         assert rebuilt <= cached - 3 * 192 * 640 * 4, [
             x / 2**20 for x in (rebuilt, cached)]
+
+    def test_tape_without_norm_outputs_peaks_lower(self, monkeypatch):
+        # The reference pairs keep each layer call's two LayerNorm outputs,
+        # (192, 160) float32 at desk AB with two sequences, on the tape; the
+        # executor rebuilds one at a time, so at least three are saved.
+        _, (rebuilt,) = self._step_peaks(monkeypatch, 1, (2,))
+        keep_inputs(monkeypatch)
+        _, (kept,) = self._step_peaks(monkeypatch, 1, (2,))
+        assert rebuilt <= kept - 3 * 192 * 160 * 4, [
+            x / 2**20 for x in (rebuilt, kept)]
 
 
 class TestTwoLanes:

@@ -24,6 +24,7 @@ one invocation, never against outputs saved elsewhere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -191,6 +192,37 @@ def battery(out: Path, demos: Path):
                 [[r.accuracy, r.predictions, r.scores] for r in results]),
                 encoding="utf-8")
 
+    def checkpoints():
+        # each battery checkpoint as loaded, then the refusals of a copy cut
+        # short and of a copy with one payload byte flipped
+        bad = out / "bad.rlab"
+        for path in sorted((out / "runs").rglob("checkpoint.rlab")):
+            tag = path.parent.relative_to(out / "runs").as_posix().replace("/", "-")
+            ckpt = rl.load_checkpoint(path)
+            fields = {k: getattr(ckpt, k) for k in ("signature", "step", "dtype", "extra")}
+            fields.update(dims=dataclasses.asdict(ckpt.dims),
+                          policy=dataclasses.asdict(ckpt.policy))
+            arrays = {f"{kind}{k}": v
+                      for kind, d in (("", ckpt.params), ("adam.m.", ckpt.adam_m),
+                                      ("adam.v.", ckpt.adam_v))
+                      for k, v in (d or {}).items()}
+            np.savez(out / f"ckpt-{tag}.npz", **arrays)
+            blob = path.read_bytes()
+            flipped = bytearray(blob)
+            flipped[(16 + int.from_bytes(blob[8:16], "little") + len(blob)) // 2] ^= 1
+            refusals = []
+            for damaged in (blob[:-5], bytes(flipped)):
+                bad.write_bytes(damaged)
+                try:
+                    rl.load_checkpoint(bad)
+                    refusals.append(None)
+                except ValueError as e:
+                    refusals.append(str(e).replace(str(out), "<out>"))
+            bad.unlink()
+            (out / f"ckpt-{tag}.json").write_text(
+                json.dumps({"fields": fields, "refusals": refusals}, sort_keys=True),
+                encoding="utf-8")
+
     def packs():
         for i, (seq_len, batch, lengths, eos) in enumerate(PACK_CASES):
             docs, start = [], 0
@@ -228,7 +260,8 @@ def battery(out: Path, demos: Path):
     warnings.simplefilter("ignore")  # tiny streams pack to nothing, and say so
     for name, fn in (("corpora", corpora), ("runs", runs), ("fits", fits),
                      ("sweep", sweep), ("evals", evals), ("arrays", arrays),
-                     ("packs", packs), ("generate_corpus", grammar_docs),
+                     ("checkpoint", checkpoints), ("packs", packs),
+                     ("generate_corpus", grammar_docs),
                      ("demos", demo_output)):
         section(name, fn)
 
