@@ -13,8 +13,9 @@ Run directory layout (under the output root, env RINSLAB_OUT_ROOT or
     <out_dir>/trace.jsonl      same trace with a header record
     <out_dir>/checkpoint.rlab  params, optimizer state and trace so far, for resume
 
-The trace files are also written, atomically, with each checkpoint before
-the final one, so a killed run keeps its curve up to its last checkpoint.
+Every write of the trace files is atomic, with each checkpoint before the
+final one and at the end, so a killed run keeps its curve up to its last
+checkpoint.
 
 Corpus references are either a path to a .tokens file or "grammar:N[:seed]"
 for N tokens of the house grammar; a relative path is read against the
@@ -481,15 +482,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
         # rerun's predecessor, must never be resumed under this hash.
         for name in ("checkpoint.rlab", "trace.csv", "trace.jsonl"):
             (run_dir / name).unlink(missing_ok=True)
-    processes.append({
-        "from_step": from_step,
-        "lanes": model_mod._LANES,
-        "malloc": model_mod._MALLOC,
-        "blas_threads": {
-            var: os.environ.get(var)
-            for reads in model_mod._BLAS_THREAD_VARS.values() for var in reads
-        },
-    })
+    processes.append({"from_step": from_step, **model_mod._process_facts()})
 
     manifest = {
         "name": spec.name,
@@ -534,8 +527,7 @@ def cmd_run(config_path, out_root: Optional[str] = None, force: bool = False) ->
     )
     # the whole trace, which after a divergence holds one row past the final
     # checkpoint
-    trace.to_csv(run_dir / "trace.csv")
-    trace.to_jsonl(run_dir / "trace.jsonl")
+    _write_trace_atomic(run_dir, trace)
 
     manifest["status"] = "aborted" if trace.aborted else "done"
     manifest["abort_reason"] = trace.abort_reason

@@ -15,8 +15,8 @@ included).
 A cache holds only what its primitive computed, never the input it was
 handed: attention_bwd and mlp_bwd take their normalized input from the
 caller, as _dense_bwd takes x. The executor does not keep LayerNorm
-outputs for them; it rebuilds each from LayerNorm's cache with
-_layernorm_out, the forward's own operations, so the bits are the same.
+outputs for them, nor mlp_bwd GELU's: _layernorm_out and _gelu_out rebuild
+them from the caches by the forward's own operations, so the bits match.
 
 Primitives build their results in buffers they allocate and then update in
 place (GELU, LayerNorm, the softmax on the scores buffer). They never write
@@ -59,10 +59,17 @@ def gelu_fwd(x):
     t += _GELU_K
     t *= x
     np.tanh(t, out=t)
+    return _gelu_out((x, t)), (x, t)
+
+
+def _gelu_out(cache):
+    """GELU's output 0.5 x (1 + t) from its cache (x, t), in one buffer;
+    gelu_fwd builds its output here too."""
+    x, t = cache
     y = t + 1.0
     y *= x
     y *= 0.5
-    return y, (x, t)
+    return y
 
 
 def gelu_bwd(dy, cache):
@@ -287,11 +294,7 @@ def mlp_bwd(dout, xn, cache, p, prefix):
     """Backward for mlp_fwd, given the normalized input xn that the forward
     was given, as (..., d) or (rows, d). Returns (dxn, grads), dxn shaped
     like dout."""
-    # GELU's output, by gelu_fwd's own operations in its order: the same bits.
-    h1, t = cache
-    a = t + 1.0
-    a *= h1
-    a *= 0.5
+    a = _gelu_out(cache)
     grads: dict[str, np.ndarray] = {}
     da = _dense_bwd(dout, a, p, prefix + "w_out", prefix + "b_out", grads)
     del a  # free before GELU's backward allocates its two buffers

@@ -155,8 +155,7 @@ def adapter_fraction(params: dict) -> dict:
 _GROUP_BYTES = 1 << 20
 
 
-# The thread-count variables each BLAS reads, in the order it reads them;
-# the manifest records them all.
+# The thread-count variables each BLAS reads, in the order it reads them.
 _BLAS_THREAD_VARS = {
     "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
     "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
@@ -221,9 +220,17 @@ def _pin_malloc() -> Optional[dict]:
     return want
 
 
-# The allocator thresholds this process runs with, or None; the manifest
-# records them next to the lanes.
+# The allocator thresholds this process runs with, or None.
 _MALLOC = _pin_malloc()
+
+
+def _process_facts() -> dict:
+    """This process's lanes, allocator thresholds and every BLAS thread
+    variable as set (None where unset), read at each call, as cmd_run
+    records them in a run manifest."""
+    blas_threads = {var: os.environ.get(var)
+                    for reads in _BLAS_THREAD_VARS.values() for var in reads}
+    return {"lanes": _LANES, "malloc": _MALLOC, "blas_threads": blas_threads}
 
 
 def _param_shapes(
@@ -303,12 +310,9 @@ class RecursiveModel:
                 f"{to_tagged(plan.source)} running leaves {plan.leaf_sequence}"
             )
         self._labels = [leaf_label(i) for i in range(plan.unique_leaf_count)]
-        self._layout = _Layout(self.param_shapes())
+        self._layout = _Layout(_param_shapes(plan, dims, policy.adapters))
 
     # ---------------------------------------------------------------- params
-
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return _param_shapes(self.plan, self.dims, self.policy.adapters)
 
     def init_params(self, seed=0) -> dict[str, np.ndarray]:
         """Deterministic init: N(0, 0.02) weights with scaled-down residual
@@ -317,7 +321,7 @@ class RecursiveModel:
         std = 0.02
         out_std = std / math.sqrt(2.0 * self.dims.total_layers)
         params: dict[str, np.ndarray] = {}
-        for name, shape in self.param_shapes().items():
+        for name, shape in self._layout.shapes.items():
             if name.startswith("adapter."):
                 arr = np.eye(shape[0])
             elif name.endswith((".gamma",)):
@@ -621,7 +625,12 @@ class RecursiveModel:
 
     def _jobs(self, tokens, targets, segments):
         """(share of the tokens, tokens, targets, segments or None) per
-        micro-batch; 1-D arrays are a batch of one sequence."""
+        micro-batch; 1-D arrays are a batch of one sequence. targets and
+        segments must have the shape of tokens."""
+        for name, a in (("targets", targets), ("segments", segments)):
+            if a is not None and np.shape(a) != np.shape(tokens):
+                raise ValueError(f"{name} shape {np.shape(a)} does not match "
+                                 f"tokens shape {np.shape(tokens)}")
         T = np.shape(tokens)[-1]
         tokens, targets = np.reshape(tokens, (-1, T)), np.reshape(targets, (-1, T))
         _check_ids(targets, self.dims.vocab, "targets")

@@ -233,16 +233,9 @@ def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     """sqrt of the sum, in grads' order, of each tensor's float64 dot with
     itself."""
-    flat = _whole(grads)
-    if flat is not None:
-        # one float64 copy of the buffer, read per tensor in dict order
-        flat = np.asarray(flat, dtype=np.float64)
-        spans = grads.layout.spans
-        pieces = (flat[slice(*spans[name])] for name in grads)
-    else:
-        pieces = (np.asarray(g, dtype=np.float64).ravel() for g in grads.values())
     total = 0.0
-    for x in pieces:
+    for g in grads.values():
+        x = np.asarray(g, dtype=np.float64).ravel()
         total += float(np.dot(x, x))
     return math.sqrt(total)
 

@@ -472,6 +472,38 @@ class TestCmdRun:
         for name in ("trace.jsonl", "trace.csv", "checkpoint.rlab"):
             assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
 
+    def test_failed_final_trace_write_keeps_the_checkpoint_rows(
+        self, tmp_path, monkeypatch
+    ):
+        # the final to_csv fails part way through its rows, after the step-3
+        # checkpoint wrote the trace files: both files keep that
+        # checkpoint's rows, whole
+        real_to_csv = rl.LossTrace.to_csv
+
+        class Unwritable:
+            def __getattr__(self, name):
+                raise OSError("disk full")
+
+        def fails_on_row_3(trace, path):
+            if len(trace.records) == 6:  # the final write
+                trace = dataclasses.replace(trace, records=[*trace.records[:2], Unwritable()])
+            real_to_csv(trace, path)
+
+        monkeypatch.setattr(rl.LossTrace, "to_csv", fails_on_row_3)
+        cfg = tmp_path / "demo.ini"
+        cfg.write_text(make_ini(total_steps=6, eval_line="eval = held=grammar:300"))
+        with pytest.raises(OSError, match="disk full"):
+            rl.cmd_run(cfg, out_root=str(tmp_path / "runs"))
+        monkeypatch.setattr(rl.LossTrace, "to_csv", real_to_csv)
+
+        run_dir = tmp_path / "runs" / "demo"
+        rows = rl.load_checkpoint(run_dir / "checkpoint.rlab").extra["trace"]
+        assert [r["step"] for r in rows] == [1, 2, 3, 4, 5, 6]
+        trace = rl.LossTrace.from_jsonl(run_dir / "trace.jsonl")
+        assert [dataclasses.asdict(r) for r in trace.records] == rows[:3]
+        trace.to_csv(tmp_path / "rows.csv")
+        assert (run_dir / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     def test_rerun_after_final_checkpoint_completes(self, tmp_path, monkeypatch):
         # killed after the last step's checkpoint, before the trace files and
         # the final manifest were written: the rerun trains no step, and

@@ -46,7 +46,7 @@ def test_battery_covers_every_section(here):
     for want in ("runs/ab/checkpoint.rlab", "runs/aaab-rins/trace.jsonl",
                  "runs/aaab-reset/manifest.json", "runs/sweep/comparison.csv",
                  "report-held/summary.json", "eval-full1.jsonl",
-                 "grads-float64-r3.npz", "mcq-float32.json", "pack-11.npz",
+                 "grads-float64-r3.npz", "mcq-float32.json", "optim.npz", "pack-11.npz",
                  "corpus-capped.json", "ckpt-aaab-rins.npz", "ckpt-ab.json",
                  "demo-mcq_eval.txt"):
         assert want in names, want

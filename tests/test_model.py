@@ -1,5 +1,7 @@
 """Whole-model behavior: execution plans, tying, recursion, caching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -457,6 +459,25 @@ class TestIdRanges:
         p = m.init_params(0)
         with pytest.raises(ValueError, match="positions"):
             m.forward_depths(p, [1, 2, 3, 4], [1], positions=[0, 1, 2, -1])
+
+
+class TestBatchShapes:
+    """loss and loss_and_grads refuse targets or segments that are not
+    shaped like tokens, rather than pair their rows with the wrong ones."""
+
+    def test_targets_and_segments_shaped_unlike_tokens(self, tiny_dims):
+        m = make_model(tiny_dims, "AB")
+        p = m.init_params(0)
+        tokens = np.random.default_rng(0).integers(0, tiny_dims.vocab, size=(4, 4))
+        folded = tokens.reshape(2, 8)
+        for call in (m.loss, m.loss_and_grads):
+            for tok in (tokens, tokens[0]):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"targets shape (2, 8) does not match tokens shape {tok.shape}")):
+                    call(p, tok, folded)
+            with pytest.raises(ValueError, match=r"segments shape \(2, 8\)"):
+                call(p, tokens, tokens, segments=np.zeros((2, 8), int))
+            call(p, tokens[0], tokens[1], segments=np.zeros(4, int))
 
 
 def _prefix_plan():

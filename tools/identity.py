@@ -192,6 +192,28 @@ def battery(out: Path, demos: Path):
                 [[r.accuracy, r.predictions, r.scores] for r in results]),
                 encoding="utf-8")
 
+    def optim():
+        # the gradient norm of loss_and_grads's flat gradients and of a plain
+        # dict copy, then one Adam step from each, clipped to a quarter of
+        # the norm
+        ckpt = rl.load_checkpoint(out / "runs" / "aaab-rins" / "checkpoint.rlab")
+        model = rl.RecursiveModel(ckpt.dims, rl.expand(rl.parse_tagged(ckpt.signature)),
+                                  ckpt.policy)
+        tokens = np.random.default_rng(13).integers(
+            0, ckpt.dims.vocab, size=(3, ckpt.dims.seq_len))
+        _, flat, _ = model.loss_and_grads(ckpt.params, tokens, tokens[::-1])
+        got = {}
+        for tag, grads in (("flat", flat), ("plain", dict(flat))):
+            norm = rl.global_grad_norm(grads)
+            cfg = rl.TrainConfig(grad_clip_norm=norm / 4, total_steps=2)
+            params = {k: v.copy() for k, v in ckpt.params.items()}
+            state = rl.init_adam_state(params)
+            step_norm = rl.adam_step(params, grads, state, cfg, 1)
+            got[f"{tag}.norm"] = np.array([norm, step_norm])
+            for kind, d in (("param", params), ("m", state.m), ("v", state.v)):
+                got.update({f"{tag}.{kind}.{k}": d[k] for k in sorted(d)})
+        np.savez(out / "optim.npz", **got)
+
     def checkpoints():
         # each battery checkpoint as loaded, then the refusals of a copy cut
         # short and of a copy with one payload byte flipped
@@ -260,6 +282,7 @@ def battery(out: Path, demos: Path):
     warnings.simplefilter("ignore")  # tiny streams pack to nothing, and say so
     for name, fn in (("corpora", corpora), ("runs", runs), ("fits", fits),
                      ("sweep", sweep), ("evals", evals), ("arrays", arrays),
+                     ("optim", optim),
                      ("checkpoint", checkpoints), ("packs", packs),
                      ("generate_corpus", grammar_docs),
                      ("demos", demo_output)):
